@@ -1,152 +1,35 @@
-"""Pointwise kernel backend.
-
-The hot inner loops (nonlinear phase rotation, fractional-power sums,
-gradient-flow kicks) run either as numba-compiled kernels or as plain
-numpy.  The backend is chosen once at import time via the environment
-variable ``NLS_LAB_BACKEND`` ("numba" or "numpy"; default numba when
-importable).  Both implementations are kept importable so the benchmark
-in benchmarks/bench_kernels.py can compare them directly.
+"""Pointwise numpy kernels for the hot inner loops: the nonlinear phase
+rotation of the Strang step, the gradient-flow kick, and the power sums
+behind the energy integrals.  Each takes a 1D complex view and either
+updates it in place or returns plain floats.
 
 FFTs are not handled here; they stay with numpy.fft.
 """
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "backend_name",
-    "nonlinear_phase",
-    "flow_kick",
-    "power_sums",
-    "abs_pow_sum",
-    "NUMPY_IMPL",
-    "NUMBA_IMPL",
-]
-
-
-# ---------------------------------------------------------------- numpy
-
-def _np_nonlinear_phase(values, qm1, pm1, wq, wp):
-    a = np.abs(values)
-    values *= np.exp(-1j * (wq * a**qm1 - wp * a**pm1))
-
-
-def _np_flow_kick(values, aq, ap, qm1, pm1):
-    a = np.abs(values)
-    values *= 1.0 - aq * a**qm1 + ap * a**pm1
-
-
-def _np_power_sums(values, e1, e2):
-    a2 = values.real**2 + values.imag**2
-    a = np.sqrt(a2)
-    return float(a2.sum()), float((a**e1).sum()), float((a**e2).sum())
-
-
-def _np_abs_pow_sum(values, e):
-    a = np.abs(values)
-    return float((a**e).sum())
-
-
-NUMPY_IMPL = {
-    "nonlinear_phase": _np_nonlinear_phase,
-    "flow_kick": _np_flow_kick,
-    "power_sums": _np_power_sums,
-    "abs_pow_sum": _np_abs_pow_sum,
-}
-
-# ---------------------------------------------------------------- numba
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but
-    _HAVE_NUMBA = False  # keep the numpy path usable without it
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_nonlinear_phase(values, qm1, pm1, wq, wp):
-        for i in range(values.size):
-            v = values[i]
-            a = np.sqrt(v.real * v.real + v.imag * v.imag)
-            if a > 0.0:
-                th = -(wq * a**qm1 - wp * a**pm1)
-                values[i] = v * complex(np.cos(th), np.sin(th))
-
-    @njit(cache=True)
-    def _nb_flow_kick(values, aq, ap, qm1, pm1):
-        for i in range(values.size):
-            v = values[i]
-            a = np.sqrt(v.real * v.real + v.imag * v.imag)
-            if a > 0.0:
-                values[i] = v * (1.0 - aq * a**qm1 + ap * a**pm1)
-
-    @njit(cache=True)
-    def _nb_power_sums(values, e1, e2):
-        s2 = 0.0
-        s_e1 = 0.0
-        s_e2 = 0.0
-        for i in range(values.size):
-            v = values[i]
-            a2 = v.real * v.real + v.imag * v.imag
-            a = np.sqrt(a2)
-            s2 += a2
-            s_e1 += a**e1
-            s_e2 += a**e2
-        return s2, s_e1, s_e2
-
-    @njit(cache=True)
-    def _nb_abs_pow_sum(values, e):
-        s = 0.0
-        for i in range(values.size):
-            v = values[i]
-            s += np.sqrt(v.real * v.real + v.imag * v.imag) ** e
-        return s
-
-    NUMBA_IMPL = {
-        "nonlinear_phase": _nb_nonlinear_phase,
-        "flow_kick": _nb_flow_kick,
-        "power_sums": _nb_power_sums,
-        "abs_pow_sum": _nb_abs_pow_sum,
-    }
-else:
-    NUMBA_IMPL = {}
-
-
-def _select():
-    requested = os.environ.get("NLS_LAB_BACKEND", "numba").lower()
-    if requested not in ("numba", "numpy"):
-        raise ValueError(f"NLS_LAB_BACKEND must be 'numba' or 'numpy', got {requested!r}")
-    if requested == "numba" and _HAVE_NUMBA:
-        return "numba", NUMBA_IMPL
-    return "numpy", NUMPY_IMPL
-
-
-_NAME, _IMPL = _select()
+__all__ = ["backend_name", "nonlinear_phase", "flow_kick", "power_sums"]
 
 
 def backend_name():
-    """Active backend, 'numba' or 'numpy'."""
-    return _NAME
+    """Name of the kernel implementation; there is one, 'numpy'."""
+    return "numpy"
 
 
 def nonlinear_phase(values, qm1, pm1, wq, wp):
     """In place: v *= exp(-i (wq |v|^qm1 - wp |v|^pm1)). Expects a 1D view."""
-    _IMPL["nonlinear_phase"](values, qm1, pm1, wq, wp)
+    a = np.abs(values)
+    values *= np.exp(-1j * (wq * a**qm1 - wp * a**pm1))
 
 
 def flow_kick(values, aq, ap, qm1, pm1):
     """In place: v *= (1 - aq |v|^qm1 + ap |v|^pm1). Expects a 1D view."""
-    _IMPL["flow_kick"](values, aq, ap, qm1, pm1)
+    a = np.abs(values)
+    values *= 1.0 - aq * a**qm1 + ap * a**pm1
 
 
 def power_sums(values, e1, e2):
     """(sum |v|^2, sum |v|^e1, sum |v|^e2) over a 1D view."""
-    return _IMPL["power_sums"](values, e1, e2)
-
-
-def abs_pow_sum(values, e):
-    """sum |v|^e over a 1D view."""
-    return _IMPL["abs_pow_sum"](values, e)
+    a2 = values.real**2 + values.imag**2
+    a = np.sqrt(a2)
+    return float(a2.sum()), float((a**e1).sum()), float((a**e2).sum())

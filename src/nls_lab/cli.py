@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -110,7 +109,7 @@ def _threshold_json(params, coeffs, result):
     }
 
 
-def cmd_threshold(cfg, emit, workers):
+def cmd_threshold(cfg, emit):
     params = cfg.model_params()
     coeffs = cfg.coeffs()
     res = ground_state.threshold_mass(
@@ -120,19 +119,11 @@ def cmd_threshold(cfg, emit, workers):
     return {"threshold": all(p.sound for p in res.probes)}
 
 
-def cmd_named_thresholds(cfg, emit, workers):
+def cmd_named_thresholds(cfg, emit):
     params = cfg.model_params()
     tol = cfg.get("bracket_tol", 0.005)
-    opts = _flow_options(cfg)
-
-    def run(items):
-        # Fan out per triple; merge in the fixed job order for determinism.
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = [(k, ex.submit(ground_state.threshold_mass, params, c, tol, opts)) for k, c in items]
-            return {k: f.result() for k, f in futs}
-
     named = ground_state.named_thresholds(
-        params, tol, cfg.get("A_grid"), cfg.get("eps_grid"), opts, run=run
+        params, tol, cfg.get("A_grid"), cfg.get("eps_grid"), _flow_options(cfg)
     )
     lines = ["name,parameter,rho_lo,rho_hi,rho0_est"]
     for name, res in (("rho_E", named.rho_E), ("rho_SW", named.rho_SW), ("rho_star", named.rho_star)):
@@ -145,7 +136,7 @@ def cmd_named_thresholds(cfg, emit, workers):
     return {"named_thresholds": True}
 
 
-def cmd_groundstate(cfg, emit, workers):
+def cmd_groundstate(cfg, emit):
     params = cfg.model_params()
     coeffs = cfg.coeffs() or energy_coeffs(params)
     res = ground_state.minimize_on_sphere(
@@ -181,7 +172,7 @@ def _initial_state(cfg, model):
     return EvolutionState(field=field, clock=0.0, model=model, params=params)
 
 
-def cmd_evolve(cfg, emit, workers):
+def cmd_evolve(cfg, emit):
     model = cfg.get("model")
     state = _initial_state(cfg, model)
     end = cfg.get("t_max") if model == "physical" else cfg.get("tau_max")
@@ -201,7 +192,7 @@ def cmd_evolve(cfg, emit, workers):
     return {"evolve": traj.sound}
 
 
-def cmd_scatter(cfg, emit, workers):
+def cmd_scatter(cfg, emit):
     state = _initial_state(cfg, "conformal")
     taus = cfg.get("snapshot_taus", (0.9, 0.95, 0.99, 0.995, 0.999))
     controls = EvolveControls(
@@ -236,7 +227,7 @@ def cmd_scatter(cfg, emit, workers):
     return {"scatter": traj.sound}
 
 
-def cmd_verify(cfg, emit, workers):
+def cmd_verify(cfg, emit):
     """Identity and conservation suite on default desk parameters."""
     from .grid import AnalyticProfile, Grid
 
@@ -286,7 +277,7 @@ class VerifyFailure(RuntimeError):
     pass
 
 
-def cmd_sweep(cfg, emit, workers):
+def cmd_sweep(cfg, emit):
     """Closed-form ordering sweep over an admissible (q, p) grid."""
     d = cfg.get("d", 1)
     nq_pts = cfg.get("sweep.q_count", 10)
@@ -301,15 +292,8 @@ def cmd_sweep(cfg, emit, workers):
             m1, m2 = rep.margins
             rows.append((q, p, rep.lambda_star, rep.lambda_sw, rep.lambda_E, m1, m2))
 
-    def fmt_row(r):
-        return ",".join(_fmt(v) for v in r)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            formatted = list(ex.map(fmt_row, rows))
-    else:
-        formatted = [fmt_row(r) for r in rows]
-    lines = ["q,p,lambda_star,lambda_sw,lambda_E,margin1,margin2"] + formatted
+    lines = ["q,p,lambda_star,lambda_sw,lambda_E,margin1,margin2"]
+    lines += [",".join(_fmt(v) for v in r) for r in rows]
     emit.write(".sweep.csv", "\n".join(lines) + "\n")
     return {"sweep": all(r[5] > 0 and r[6] > 0 for r in rows)}
 
@@ -332,13 +316,9 @@ def main(argv=None):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--workers", type=int, default=None)
+        # Serial only; the flag stays so that `--workers 1` still parses.
+        sp.add_argument("--workers", type=int, choices=(1,), default=1)
     args = parser.parse_args(argv)
-
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("NLS_LAB_WORKERS", "1"))
-    workers = max(1, workers)
 
     try:
         with open(args.config) as f:
@@ -355,7 +335,7 @@ def main(argv=None):
     emit = Emitter(prefix)
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     try:
-        sound = _HANDLERS[args.subcommand](cfg, emit, workers)
+        sound = _HANDLERS[args.subcommand](cfg, emit)
     except BracketingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BRACKETING

@@ -20,15 +20,12 @@ __all__ = [
     "EnergyBreakdown",
     "delta_exponents",
     "breakdown",
-    "energy_abg",
     "energy_coeffs",
     "pohozaev",
     "pohozaev_terms",
     "modified_energy",
     "modified_energy_terms",
-    "correction_energy",
     "correction_energy_terms",
-    "split_energy_star",
     "split_energy_star_terms",
     "StandingWaveMultiplier",
     "standing_wave_multiplier",
@@ -131,11 +128,6 @@ def breakdown(field, params, coeffs=None):
     return EnergyBreakdown(kinetic=k, nq=nq, np=npw, mass=m, total=total)
 
 
-def energy_abg(field, params, coeffs):
-    """E^{alpha,beta,gamma}(u) = alpha K + beta nq - gamma np."""
-    return breakdown(field, params, coeffs)
-
-
 def pohozaev_terms(b, params, coeffs):
     """G = 2 alpha K + (d(q-1)/2) beta nq - (d(p-1)/2) gamma np."""
     d, q, p = params.d, params.q, params.p
@@ -174,6 +166,8 @@ def modified_energy(tau, field, A, params):
 
 
 def correction_energy_terms(tau, b, A, params):
+    """R_A(tau, u) from a breakdown: the exact -d/dtau of E_A along the
+    conformal flow."""
     _check_tau(tau)
     dq, dp = params.delta_q, params.delta_p
     s = 1.0 - tau
@@ -184,14 +178,10 @@ def correction_energy_terms(tau, b, A, params):
     )
 
 
-def correction_energy(tau, field, A, params):
-    """R_A(tau, u), the exact -d/dtau of E_A along the conformal flow."""
-    if A < 0:
-        raise ValueError("A must be nonnegative")
-    return correction_energy_terms(tau, breakdown(field, params), A, params)
-
-
 def split_energy_star_terms(tau, b, A, params, epsilon):
+    """E_A^star from a breakdown: E_A minus epsilon times the
+    all-positive-weights part, so that
+    E_A = epsilon * (K-term + q-term + p-term) + E_A^star exactly."""
     _check_tau(tau)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -202,12 +192,6 @@ def split_energy_star_terms(tau, b, A, params, epsilon):
         + (1 - epsilon) * s ** (A - dq) / (params.q + 1) * b.nq
         - (1 + epsilon) * s ** (A - dp) / (params.p + 1) * b.np
     )
-
-
-def split_energy_star(tau, field, A, params, epsilon):
-    """E_A^star: E_A minus epsilon times the all-positive-weights part,
-    so that E_A = epsilon * (K-term + q-term + p-term) + E_A^star exactly."""
-    return split_energy_star_terms(tau, breakdown(field, params), A, params, epsilon)
 
 
 class StandingWaveMultiplier(NamedTuple):

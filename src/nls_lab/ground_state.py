@@ -511,9 +511,14 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, grid=None, rng=N
     """Bisect the zero/negative dichotomy of the constrained infimum.
 
     Starts from the bracket [0.05, 5.0], auto-expanding geometrically up
-    to two decades on each side; stops when the bracket width drops below
-    bracket_tol times the midpoint.  Unsound probes widen toward the
-    unsound side instead of being trusted.
+    to two decades on each side until the lower end probes 'zero' and the
+    upper end 'negative'; stops when the bracket width drops below
+    bracket_tol times the midpoint.  Inside the bracket a 'negative'
+    probe moves the upper end and any other verdict, 'unresolved'
+    included, moves the lower end.  A probe's soundness does not steer
+    the bisection: it is recorded per probe in the result (the CLI's
+    .threshold.json) and in the manifest's sound flag.  Acting on
+    unsound or unresolved probes is direction 5 of ROADMAP.md.
     """
     if coeffs.beta == 0:
         raise ValueError("threshold bisection needs strictly positive coefficients")
@@ -648,11 +653,9 @@ def named_thresholds(
     eps_grid=None,
     opts=None,
     grid=None,
-    run=None,
 ):
-    """Bisect every named threshold.  The rho1/rho* entries require the
-    scattering regime; `run` lets a caller route the independent
-    bisections through an executor."""
+    """Bisect every named threshold, one after another.  The rho1/rho*
+    entries require the scattering regime."""
     if params.regime != "scattering":
         raise ValueError("named thresholds are defined in the scattering regime")
     dq = params.delta_q
@@ -661,26 +664,15 @@ def named_thresholds(
     if eps_grid is None:
         eps_grid = (0.4, 0.2, 0.1, 0.05, 0.025)
 
-    jobs = {"rho_E": triple_energy(params), "rho_SW": triple_standing_wave(params),
-            "rho_star": triple_star(params)}
-    for a in A_grid:
-        jobs[("rho1", a)] = triple_rho1(params, a)
-    for e in eps_grid:
-        jobs[("rho2", e)] = triple_rho2(params, e)
+    def bisect(coeffs):
+        return threshold_mass(params, coeffs, bracket_tol, opts, grid)
 
-    if run is None:
-        def run(items):
-            return {k: threshold_mass(params, c, bracket_tol, opts, grid) for k, c in items}
-
-    done = run(list(jobs.items()))
-    rho1 = {k[1]: v for k, v in done.items() if isinstance(k, tuple) and k[0] == "rho1"}
-    rho2 = {k[1]: v for k, v in done.items() if isinstance(k, tuple) and k[0] == "rho2"}
     return NamedThresholds(
-        rho_E=done["rho_E"],
-        rho_SW=done["rho_SW"],
-        rho_star=done["rho_star"],
-        rho1=dict(sorted(rho1.items())),
-        rho2=dict(sorted(rho2.items())),
+        rho_E=bisect(triple_energy(params)),
+        rho_SW=bisect(triple_standing_wave(params)),
+        rho_star=bisect(triple_star(params)),
+        rho1={a: bisect(triple_rho1(params, a)) for a in sorted(set(A_grid))},
+        rho2={e: bisect(triple_rho2(params, e)) for e in sorted(set(eps_grid))},
     )
 
 

@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from concurrent.futures import ThreadPoolExecutor
 
 from nls_lab import ground_state as gs
 from nls_lab.functionals import ModelParams
@@ -59,17 +58,8 @@ def rho1_075(sparams):
 
 @pytest.fixture(scope="session")
 def named(sparams):
-    """All named thresholds at 0.5% bracket, bisected in parallel."""
-
-    def run(items):
-        with ThreadPoolExecutor(max_workers=4) as ex:
-            futs = [
-                (k, ex.submit(gs.threshold_mass, sparams, c, 0.005, None, None))
-                for k, c in items
-            ]
-            return {k: f.result() for k, f in futs}
-
-    return gs.named_thresholds(sparams, bracket_tol=0.005, run=run)
+    """All named thresholds at 0.5% bracket."""
+    return gs.named_thresholds(sparams, bracket_tol=0.005)
 
 
 @pytest.fixture(scope="session")

@@ -188,3 +188,38 @@ def test_cli_threshold_run(tmp_path):
     assert doc["rho_lo"] < doc["rho0_est"] < doc["rho_hi"]
     assert 2.0 < doc["rho0_est"] < 3.0
     assert {"rho", "verdict", "sound"} <= set(doc["probes"][0])
+
+
+def test_cli_workers_accepts_only_one(tmp_path, capsys):
+    cfg = _write(tmp_path, "d = 1\nsweep.q_count = 2\nsweep.p_count = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "w2"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "w1"), "--workers", "1"])
+    assert rc == cli.EXIT_OK
+
+
+def test_cli_named_thresholds_run(tmp_path):
+    text = "d = 1\nq = 4\np = 4.5\nbracket_tol = 0.1\nA_grid = 1.0\neps_grid = 0.4\n"
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "n")
+    rc = cli.main(["named-thresholds", "--config", cfg, "--out", out])
+    assert rc == cli.EXIT_OK
+    lines = open(out + ".named.csv").read().splitlines()
+    assert lines[0] == "name,parameter,rho_lo,rho_hi,rho0_est"
+    rows = {tuple(line.split(",")[:2]): line.split(",")[2:] for line in lines[1:]}
+    keys = list(rows)
+    assert [name for name, _ in keys] == ["rho_E", "rho_SW", "rho_star", "rho1", "rho2"]
+    assert [float(param) for _, param in keys[3:]] == [1.0, 0.4]
+    assert rows[("rho_star", "")] == rows[("rho1", "1")]
+    for lo, hi, est in rows.values():
+        assert float(lo) < float(est) < float(hi)
+
+    man = json.load(open(out + ".manifest.json"))
+    assert man["subcommand"] == "named-thresholds"
+    assert man["sound"] == {"named_thresholds": True}
+    assert set(man["checksums"]) == {"n.named.csv"}
+    for name, digest in man["checksums"].items():
+        payload = open(str(tmp_path / name), "rb").read()
+        assert hashlib.sha256(payload).hexdigest() == digest
