@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__, conformal, ground_state, spectral
 from .config import SUBCOMMANDS, ConfigError, parse_config
-from .evolution import EvolutionError, EvolveControls, EvolutionState, evolve
+from .evolution import EvolutionError, EvolveControls, EvolutionState, StrangStepper, evolve
 from .functionals import ModelParams, energy_coeffs
-from .grid import eval_profile, field_to_bytes
+from .grid import AnalyticProfile, eval_profile, field_to_bytes
 from .ground_state import BracketingError, FlowOptions
 from .spectral import AliasingError
 
@@ -163,13 +163,9 @@ def cmd_groundstate(cfg, emit):
 
 
 def _initial_state(cfg, model):
-    params = ModelParams(
-        d=cfg.get("d", 1), q=cfg.get("q", 4.0), p=cfg.get("p", 4.5),
-        regime="scattering" if cfg.subcommand == "scatter" else "variational",
-    )
     field = eval_profile(cfg.grid(), cfg.profile())
     field = spectral.normalize(field, cfg.get("rho", 1.0))
-    return EvolutionState(field=field, clock=0.0, model=model, params=params)
+    return EvolutionState(field=field, clock=0.0, model=model, params=cfg.model_params())
 
 
 def cmd_evolve(cfg, emit):
@@ -229,10 +225,8 @@ def cmd_scatter(cfg, emit):
 
 def cmd_verify(cfg, emit):
     """Identity and conservation suite on default desk parameters."""
-    from .grid import AnalyticProfile, Grid
-
-    grid = Grid(d=cfg.get("d", 1), n=cfg.get("n", 512), L=cfg.get("L", 64.0))
-    params = ModelParams(d=grid.d, q=cfg.get("q", 4.0), p=cfg.get("p", 4.5))
+    grid = cfg.grid()
+    params = cfg.model_params()
     psi0 = eval_profile(grid, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0))
     checks = []
 
@@ -243,14 +237,9 @@ def cmd_verify(cfg, emit):
     e = traj.series("energy")
     checks.append(("energy_drift_small", float(np.max(np.abs(e - e[0]))) < 1e-4))
 
-    from .evolution import step_strang
-
-    fwd = step_strang(state, 1e-2)
-    stepper_grid = fwd.field.grid
-    vals = fwd.field.values.copy()
-    from .evolution import StrangStepper
-
-    stepper = StrangStepper(stepper_grid, params, "physical")
+    stepper = StrangStepper(grid, params, "physical")
+    vals = psi0.values.copy()
+    stepper.step(vals, 0.0, 1e-2)
     stepper.step(vals, 0.0, 1e-2, reverse=True)
     rev_err = float(np.max(np.abs(vals - psi0.values)))
     checks.append(("time_reversal", rev_err < 1e-10))

@@ -59,9 +59,7 @@ _SCHEMA = {
     "chirp": (float, "quadratic phase coefficient"),
     "center": (_parse_floats, "profile center offset"),
     "rho": (float, "target L2 norm"),
-    "A": (float, "decay exponent"),
     "A_list": (_parse_floats, "decay exponents to record"),
-    "epsilon": (float, "split-energy parameter"),
     "dt_base": (float, "base time step"),
     "c_adapt": (float, "adaptive step coefficient"),
     "cadence": (int, "record every N steps"),
@@ -178,7 +176,6 @@ def parse_config(text, subcommand):
     check("amplitude", lambda v: v > 0, "must be positive")
     check("width", lambda v: v > 0, "must be positive")
     check("rho", lambda v: v > 0, "must be positive")
-    check("epsilon", lambda v: 0 < v < 1, "must lie in (0, 1)")
     check("dt_base", lambda v: v > 0, "must be positive")
     check("c_adapt", lambda v: v > 0, "must be positive")
     check("cadence", lambda v: v >= 1, "must be >= 1")
@@ -210,11 +207,9 @@ def parse_config(text, subcommand):
         errors.append("t_max: required for a physical-model evolve")
     if subcommand == "evolve" and model == "conformal" and "tau_max" not in values:
         errors.append("tau_max: required for a conformal-model evolve")
-    if "A" in values or "A_list" in values:
-        a_vals = list(values.get("A_list", ())) + ([values["A"]] if "A" in values else [])
-        for a in a_vals:
-            if not 0 < a <= 1:
-                errors.append(f"A: decay exponents must lie in (0, 1] (got {a})")
+    for a in values.get("A_list", ()):
+        if not 0 < a <= 1:
+            errors.append(f"A_list: decay exponents must lie in (0, 1] (got {a})")
 
     if errors:
         raise ConfigError(sorted(errors))

@@ -33,7 +33,6 @@ __all__ = [
     "EvolutionError",
     "nonlinear_phase_weights",
     "StrangStepper",
-    "step_strang",
     "evolve",
     "EnvelopeReport",
     "decay_envelopes",
@@ -123,23 +122,6 @@ class StrangStepper:
                 wq, wp = -wq, -wp
             backend.nonlinear_phase(values.reshape(-1), self._qm1, self._pm1, wq, wp)
         values[...] = np.fft.ifftn(np.fft.fftn(values) * lin)
-
-
-def step_strang(state, dt, free_flow=False):
-    """One Strang step; returns a new EvolutionState."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    stepper = StrangStepper(state.field.grid, state.params, state.model, free_flow)
-    vals = state.field.values.copy()
-    stepper.step(vals, state.clock, dt)
-    if not np.all(np.isfinite(vals.view(np.float64))):
-        raise EvolutionError(f"non-finite field after step at clock {state.clock}")
-    return EvolutionState(
-        field=Field(state.field.grid, vals),
-        clock=state.clock + dt,
-        model=state.model,
-        params=state.params,
-    )
 
 
 @dataclass

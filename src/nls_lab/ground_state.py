@@ -507,8 +507,17 @@ class ThresholdResult:
         return self.rho_hi - self.rho_lo
 
 
-def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, grid=None, rng=None):
+def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     """Bisect the zero/negative dichotomy of the constrained infimum.
+
+    The threshold depends on the triple only through Lambda
+    (lambda_reduction), so one reduced problem is bisected: the triple
+    (alpha_E, beta_E, gamma') of the energy triple's alpha and beta with
+    gamma' giving the same Lambda.  That is the (1, 1, Lambda) problem in
+    the energy triple's units, which the default box (in params.d
+    dimensions), seed widths and flow dt are sized for; the energy triple
+    reduces to itself exactly.  The probe energies in the result are
+    energies of the reduced triple.
 
     Starts from the bracket [0.05, 5.0], auto-expanding geometrically up
     to two decades on each side until the lower end probes 'zero' and the
@@ -524,29 +533,18 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, grid=None, rng=N
         raise ValueError("threshold bisection needs strictly positive coefficients")
     if params.regime not in ("variational", "scattering"):
         raise ValueError("threshold bisection needs an admissible regime")
-    if opts is None:
-        opts = FlowOptions()
-    # Adapt the box, the seed widths, and the flow clock to the triple's
-    # intrinsic scale (the physical energy triple keeps the defaults).
-    # Without this the flow oracle breaks the closed-form reduction
-    # identity: the deciding states of different triples sit at wildly
-    # different length scales relative to a fixed grid and seed set.
     ref = energy_coeffs(params)
-    s = intrinsic_scale(coeffs, params) / intrinsic_scale(ref, params)
-    rate = energy_rate(coeffs, params) / energy_rate(ref, params)
-    opts = replace(
-        opts,
-        seed_widths=tuple(w * s for w in opts.seed_widths),
-        dt=opts.dt / rate,
+    r = params.delta_p / params.delta_q
+    reduced = CoeffTriple(
+        ref.alpha,
+        ref.beta,
+        coeffs.gamma * (ref.alpha / coeffs.alpha) ** (1 - r) * (ref.beta / coeffs.beta) ** r,
     )
-    if grid is None:
-        base = default_grid()
-        grid = Grid(d=params.d, n=base.n, L=base.L * s)
-
+    grid = replace(default_grid(), d=params.d)
     probes = []
 
     def run(rho):
-        pr = probe(params, coeffs, rho, opts, grid, rng)
+        pr = probe(params, reduced, rho, opts, grid, rng)
         probes.append(pr)
         return pr
 
@@ -578,18 +576,6 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, grid=None, rng=N
         else:
             lo = mid
     return ThresholdResult(rho_lo=lo, rho_hi=hi, probes=probes)
-
-
-def intrinsic_scale(coeffs, params):
-    """Length multiplier of the triple relative to its (1, 1, Lambda)
-    canonical form under the mass-preserving reduction: (alpha/beta)^{1/dq}."""
-    return (coeffs.alpha / coeffs.beta) ** (1.0 / params.delta_q)
-
-
-def energy_rate(coeffs, params):
-    """Energy multiplier of the same reduction; the gradient-flow clock
-    runs faster by this factor, so dt scales by its inverse."""
-    return coeffs.alpha * (coeffs.beta / coeffs.alpha) ** (2.0 / params.delta_q)
 
 
 def lambda_reduction(coeffs, params):
@@ -646,16 +632,11 @@ class NamedThresholds:
     rho2: dict = dc_field(default_factory=dict)
 
 
-def named_thresholds(
-    params,
-    bracket_tol=0.005,
-    A_grid=None,
-    eps_grid=None,
-    opts=None,
-    grid=None,
-):
-    """Bisect every named threshold, one after another.  The rho1/rho*
-    entries require the scattering regime."""
+def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts=None):
+    """Bisect every named threshold, one after another, each distinct
+    Lambda once: triples with the same Lambda (rho_star and rho1[1.0])
+    share one ThresholdResult.  The rho1/rho* entries require the
+    scattering regime."""
     if params.regime != "scattering":
         raise ValueError("named thresholds are defined in the scattering regime")
     dq = params.delta_q
@@ -663,9 +644,13 @@ def named_thresholds(
         A_grid = tuple(round(a, 6) for a in np.linspace(dq + 0.1 * (1 - dq), 1.0, 5))
     if eps_grid is None:
         eps_grid = (0.4, 0.2, 0.1, 0.05, 0.025)
+    by_lambda = {}
 
     def bisect(coeffs):
-        return threshold_mass(params, coeffs, bracket_tol, opts, grid)
+        lam = lambda_reduction(coeffs, params)
+        if lam not in by_lambda:
+            by_lambda[lam] = threshold_mass(params, coeffs, bracket_tol, opts)
+        return by_lambda[lam]
 
     return NamedThresholds(
         rho_E=bisect(triple_energy(params)),

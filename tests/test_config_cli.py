@@ -40,13 +40,14 @@ def test_parse_valid_config():
 
 
 def test_parse_collects_all_violations():
-    bad = "model = orbital\nn = 7\nwobble = 3\nq = not-a-number\n"
+    bad = "model = orbital\nn = 7\nwobble = 3\nq = not-a-number\nepsilon = 0.5\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(bad, "evolve")
     msgs = exc.value.errors
     assert any("model" in m for m in msgs)
     assert any("n:" in m for m in msgs)
     assert any("wobble" in m for m in msgs)
+    assert "epsilon: unknown key" in msgs
     assert any("q:" in m for m in msgs)
     assert any("required" in m for m in msgs)
     assert msgs == sorted(msgs)

@@ -15,7 +15,6 @@ from nls_lab.evolution import (
     decay_envelopes,
     evolve,
     nonlinear_phase_weights,
-    step_strang,
 )
 from nls_lab.functionals import ModelParams
 from nls_lab.grid import AnalyticProfile, eval_profile
@@ -91,14 +90,6 @@ def test_strang_is_second_order(psi0, params):
 
     ratio = err(final(2e-2)) / err(final(1e-2))
     assert 3.0 < ratio < 5.0
-
-
-def test_step_strang_wrapper(psi0, params):
-    st0 = EvolutionState(psi0, 0.0, "physical", params)
-    out = step_strang(st0, 1e-2)
-    assert out.clock == pytest.approx(1e-2)
-    with pytest.raises(ValueError):
-        step_strang(st0, -1e-2)
 
 
 def test_free_flow_matches_free_multiplier(psi0, params):

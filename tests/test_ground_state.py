@@ -130,8 +130,9 @@ def test_threshold_monotone_in_gamma(params, threshold_energy):
 
 
 def test_threshold_homogeneity_and_reduction(params, threshold_energy):
-    """Degree-0 homogeneity and the (1, 1, Lambda) reduction: the
-    adapted flow oracle reproduces both identities exactly."""
+    """Degree-0 homogeneity and the (1, 1, Lambda) reduction: a scaled
+    triple and the (1, 1, Lambda) triple reduce to the energy triple's
+    problem (to rounding in its gamma), so both identities hold."""
     coeffs = gs.triple_energy(params)
     lam = gs.lambda_reduction(coeffs, params)
     th_scaled = gs.threshold_mass(params, coeffs.scaled(2.0), bracket_tol=0.02)
@@ -218,6 +219,11 @@ def test_ordering_check(sparams, params):
 def test_pure_focusing_exponent():
     assert gs.pure_focusing_exponent(ModelParams(d=1, q=2.0, p=3.0)) == pytest.approx(6.0)
     assert gs.pure_focusing_exponent(ModelParams(d=1, q=4.0, p=4.5)) == pytest.approx(30.0)
+
+
+def test_named_thresholds_bisect_each_lambda_once(named):
+    """rho_star and rho1(1.0) are the same triple, so one bisection."""
+    assert named.rho_star is named.rho1[1.0]
 
 
 def test_named_thresholds_need_scattering_regime(params):
