@@ -1,7 +1,8 @@
 """Pointwise numpy kernels for the hot inner loops: the nonlinear phase
 rotation of the Strang step, the gradient-flow kick, and the power sums
-behind the energy integrals.  Each takes a 1D complex view and either
-updates it in place or returns plain floats.
+behind the energy integrals.  The kick and the power sums work on the
+last axis of a complex array, so one call serves one flattened field or
+a (rows, size) batch of them.
 
 FFTs are not handled here; they stay with numpy.fft.
 """
@@ -23,13 +24,19 @@ def nonlinear_phase(values, qm1, pm1, wq, wp):
 
 
 def flow_kick(values, aq, ap, qm1, pm1):
-    """In place: v *= (1 - aq |v|^qm1 + ap |v|^pm1). Expects a 1D view."""
+    """In place: v *= (1 - aq |v|^qm1 + ap |v|^pm1).
+
+    values is a contiguous complex array, one field per row along its
+    last axis; aq and ap are scalars or arrays that broadcast against it,
+    such as one (rows, 1) column of per-row weights.
+    """
     a = np.abs(values)
     values *= 1.0 - aq * a**qm1 + ap * a**pm1
 
 
 def power_sums(values, e1, e2):
-    """(sum |v|^2, sum |v|^e1, sum |v|^e2) over a 1D view."""
+    """(sum |v|^2, sum |v|^e1, sum |v|^e2) over the last axis of values:
+    three numbers for a 1D array, three per-row arrays for (rows, size)."""
     a2 = values.real**2 + values.imag**2
     a = np.sqrt(a2)
-    return float(a2.sum()), float((a**e1).sum()), float((a**e2).sum())
+    return a2.sum(-1), (a**e1).sum(-1), (a**e2).sum(-1)

@@ -100,6 +100,23 @@ class Grid:
             out = out + x**2
         return out
 
+    @cached_property
+    def core_mask(self):
+        """True inside the core box [-L/4, L/4]^d."""
+        inside = np.ones(self.shape, dtype=bool)
+        for x in self.x_mesh:
+            inside = inside & (np.abs(x) <= self.L / 4)
+        return inside
+
+    @cached_property
+    def half_nyquist_mask(self):
+        """True where every wavenumber component is at most half the
+        Nyquist wavenumber, pi n / (2 L)."""
+        inside = np.ones(self.shape, dtype=bool)
+        for k in self.k_mesh:
+            inside = inside & (np.abs(k) <= np.pi * self.n / (2 * self.L))
+        return inside
+
 
 def make_grid(d, n, L):
     return Grid(d=int(d), n=int(n), L=float(L))

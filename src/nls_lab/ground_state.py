@@ -52,14 +52,15 @@ __all__ = [
 DEFAULT_BRACKET = (0.05, 5.0)
 
 
-def default_grid():
-    """The minimization default: 1D, n=512, L=64.
+def default_grid(d=1):
+    """The minimization default: n=512, L=64 in d dimensions.
 
-    minimize_on_sphere and probe use it when no grid is given, except a
-    polished minimization, which scales this box to its seed's dilation
-    minimizer (_dilation_fit).
+    minimize_on_sphere and probe use it in params.d dimensions when no
+    grid is given, except a polished minimization, which scales this box
+    to its seed's dilation minimizer (_dilation_fit); threshold_mass
+    always uses it.
     """
-    return Grid(d=1, n=512, L=64.0)
+    return Grid(d=d, n=512, L=64.0)
 
 
 @dataclass(frozen=True)
@@ -160,29 +161,40 @@ class MinimizeResult:
     sound: bool
 
 
-def _energy_gradient(field, params, coeffs):
+def _fft(v, grid, inverse=False):
+    """FFT (or inverse FFT) over the grid axes of every row of v, a
+    (rows, grid.size) array of flattened fields."""
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    shape = grid.shape
+    axes = tuple(range(1, grid.d + 1))
+    # An explicit s (the grid shape, so nothing is cropped or padded)
+    # spares numpy's per-call shape lookup.
+    return transform(v.reshape((len(v),) + shape), s=shape, axes=axes).reshape(len(v), -1)
+
+
+def _energy_gradient(v, grid, params, alpha, beta, gamma):
     """E'(u) = -2 alpha Lap u + (q+1) beta |u|^{q-1} u
-    - (p+1) gamma |u|^{p-1} u, evaluated spectrally/pointwise."""
-    g = field.grid
-    v = field.values
-    hat = np.fft.fftn(v)
-    lin = np.fft.ifftn(2.0 * coeffs.alpha * g.k_sq * hat)
+    - (p+1) gamma |u|^{p-1} u, evaluated spectrally/pointwise for every
+    row of v, a (rows, grid.size) array; the coefficients are scalars or
+    (rows, 1) columns."""
+    hat = _fft(v, grid)
+    lin = _fft(2.0 * alpha * grid.k_sq.reshape(-1) * hat, grid, inverse=True)
     a2 = v.real**2 + v.imag**2
-    nl = (params.q + 1) * coeffs.beta * a2 ** ((params.q - 1) / 2) * v
-    nl -= (params.p + 1) * coeffs.gamma * a2 ** ((params.p - 1) / 2) * v
+    nl = (params.q + 1) * beta * a2 ** ((params.q - 1) / 2) * v
+    nl -= (params.p + 1) * gamma * a2 ** ((params.p - 1) / 2) * v
     return lin + nl
 
 
-def _residual(field, params, coeffs):
-    """|| E'(u) - mu u ||_2 with the projected multiplier
-    mu = <E'(u), u> / ||u||_2^2 (the constrained stationarity defect)."""
-    g = _energy_gradient(field, params, coeffs)
-    v = field.values
-    vol = field.grid.cell_volume
-    m = float((v.real**2 + v.imag**2).sum()) * vol
-    mu = float((g.real * v.real + g.imag * v.imag).sum()) * vol / m
-    r = g - mu * v
-    return np.sqrt(float((r.real**2 + r.imag**2).sum()) * vol)
+def _residual(v, grid, params, alpha, beta, gamma):
+    """|| E'(u) - mu u ||_2 for every row of v, with the projected
+    multiplier mu = <E'(u), u> / ||u||_2^2 (the constrained stationarity
+    defect); arguments as for _energy_gradient."""
+    g = _energy_gradient(v, grid, params, alpha, beta, gamma)
+    vol = grid.cell_volume
+    m = (v.real**2 + v.imag**2).sum(-1) * vol
+    mu = (g.real * v.real + g.imag * v.imag).sum(-1) * vol / m
+    r = g - mu[:, None] * v
+    return np.sqrt((r.real**2 + r.imag**2).sum(-1) * vol)
 
 
 def _dilation_fit(params, coeffs, rho, seed):
@@ -193,10 +205,10 @@ def _dilation_fit(params, coeffs, rho, seed):
     closed-form in the raw integrals of one breakdown.  When E(s) has a
     negative minimum at s*, the seed is dilated to it and the box spans
     default_grid().L dilated seed widths at the default n, as the default
-    box spans a unit-width seed; otherwise default_grid() and the seed
-    are kept.
+    box spans a unit-width seed; otherwise default_grid(params.d) and
+    the seed are kept.
     """
-    base = default_grid()
+    base = default_grid(params.d)
     if not isinstance(seed, AnalyticProfile) or seed.kind == "ground-state-snapshot":
         return base, seed
     with warnings.catch_warnings():
@@ -219,14 +231,13 @@ def _dilation_fit(params, coeffs, rho, seed):
 def minimize_on_sphere(params, coeffs, rho, opts=None, grid=None, seed=None):
     """Flow a seed down the constrained energy landscape at mass rho^2.
 
-    Runs the normalized gradient flow until it certifies negative energy
-    or lands on the zero-infimum signature (FlowOptions).  With
-    opts.polish a certified run goes on with _polish to the actual
-    minimizer; with grid=None it then runs on the box _dilation_fit sizes
-    to the seed, and on default_grid() in every other case.
+    Runs the normalized gradient flow (one row of _flow_rows) until it
+    certifies negative energy or lands on the zero-infimum signature
+    (FlowOptions).  With opts.polish a certified run goes on with _polish
+    to the actual minimizer; with grid=None it then runs on the box
+    _dilation_fit sizes to the seed, and on default_grid(params.d) in
+    every other case.
     """
-    if rho <= 0:
-        raise ValueError(f"mass-sphere radius must be positive, got {rho}")
     if opts is None:
         opts = FlowOptions()
     if seed is None:
@@ -235,18 +246,136 @@ def minimize_on_sphere(params, coeffs, rho, opts=None, grid=None, seed=None):
         if opts.polish:
             grid, seed = _dilation_fit(params, coeffs, rho, seed)
         else:
-            grid = default_grid()
+            grid = default_grid(params.d)
+    return _flow_rows(params, grid, [coeffs], [rho], [seed], opts)[0]
+
+
+class _Rows:
+    """Flow state of the rows still running: every attribute is an array
+    with one entry per row."""
+
+    def __init__(self, **arrays):
+        vars(self).update(arrays)
+
+    def take(self, keep):
+        return _Rows(**{name: a[keep] for name, a in vars(self).items()})
+
+
+def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
+    """Run one normalized gradient flow per row, all rows in lockstep.
+
+    Row i flows seeds[i] (an AnalyticProfile, or a Field on grid) at mass
+    rhos[i]^2 under the triple coeffs[i]; params, grid and opts are
+    shared.  Each row has its own dt, energy history, truncation monitor,
+    accept/reject and stopping tests (FlowOptions), and is computed with
+    the same floating-point operations as when it runs alone, so its
+    result does not depend on the other rows.  Rows leave the array when
+    they stop.  Returns one MinimizeResult per row, in order.
+    """
+    qm1 = params.q - 1.0
+    pm1 = params.p - 1.0
+    vol = grid.cell_volume
+    k_sq = grid.k_sq.reshape(-1)
+    outside = np.flatnonzero(~grid.core_mask)
+    starts = [_start_row(params, grid, *row, opts) for row in zip(coeffs, rhos, seeds)]
+    s = _Rows(**{name: np.array([r[name] for _, r in starts], dtype=float) for name in starts[0][1]})
+    s.vals = np.stack([field.values.reshape(-1) for field, _ in starts])
+    s.row = np.arange(len(starts))
+    s.residual = np.full(len(starts), np.inf)
+    s.worst = np.zeros(len(starts))
+    s.certified = np.zeros(len(starts), dtype=bool)
+    # The accepted energies of each row; count[i] of them are filled.
+    s.history = np.empty((len(starts), opts.max_iters + 1))
+    s.history[:, 0] = s.energy
+    s.count = np.ones(len(starts), dtype=int)
+    s.aq, s.ap, s.decay = _step_arrays(s, slice(None), params, k_sq)
+    done = []
+    index = np.arange(s.row.size)
+
+    it = 0
+    while it < opts.max_iters and s.row.size:
+        it += 1
+        trial = s.vals.copy()
+        # Explicit nonlinear kick on the energy gradient's pointwise part.
+        backend.flow_kick(trial, s.aq, s.ap, qm1, pm1)
+        # Exact decay for the -2 alpha Lap part.
+        hat = _fft(trial, grid)
+        hat *= s.decay
+        trial = _fft(hat, grid, inverse=True)
+        # Renormalize to the sphere.
+        m = (trial.real**2 + trial.imag**2).sum(-1) * vol
+        if not 0 < m.min() < np.inf:
+            raise RuntimeError(f"flow left the sphere at iteration {it}")
+        trial *= (s.rho / np.sqrt(m))[:, None]
+
+        # The trial's energy (breakdown(...).total, row by row) and its
+        # mass fraction outside the core box.
+        s2, sq, sp = backend.power_sums(trial, params.q + 1.0, params.p + 1.0)
+        hat = _fft(trial, grid)
+        kinetic = (k_sq * (hat.real**2 + hat.imag**2)).sum(-1) * vol / grid.size
+        energy = s.alpha * kinetic + s.beta * (sq * vol) - s.gamma * (sp * vol)
+        edge = trial.take(outside, axis=1)
+        truncation = (edge.real**2 + edge.imag**2).sum(-1) / s2
+
+        # A step that raises the energy is undone and retried at half dt.
+        reject = energy > s.energy + 1e-12 * np.maximum(1.0, np.abs(s.energy))
+        accept = ~reject
+        # The flow is monotone, so negativity is certified for good.
+        s.certified = accept & (energy < -s.tol_neg)
+        stop = s.certified.copy()
+        if reject.any():
+            s.dt[reject] *= 0.5
+            stop = stop | (reject & (s.dt < 1e-18 * s.dt_start))
+            s.aq[reject], s.ap[reject], s.decay[reject] = _step_arrays(s, reject, params, k_sq)
+            # Rejected rows keep their state; 0 leaves their monitor as it was.
+            trial[reject] = s.vals[reject]
+            energy[reject] = s.energy[reject]
+            truncation[reject] = 0.0
+        s.vals = trial
+        s.energy = energy
+        s.history[index, s.count] = energy
+        s.count += accept
+        s.worst = np.maximum(s.worst, truncation)
+        if it % 10 == 0 or it == opts.max_iters:
+            c = np.flatnonzero(accept & ~s.certified)
+            if c.size:
+                stop[c] = _checkpoint(s, c, trial[c], grid, params, opts)
+        if stop.any():
+            done.append((it, s.take(stop)))
+            s = s.take(~stop)
+            index = np.arange(s.row.size)
+    done.append((it, s))
+
+    results = [None] * len(starts)
+    for it, rows in done:
+        for j, i in enumerate(rows.row):
+            results[i] = _finish(params, grid, coeffs[i], rhos[i], opts, it, rows, j)
+    return results
+
+
+def _step_arrays(s, rows, params, k_sq):
+    """The kick weights and the spectral decay factor of the given rows
+    of s, from their dt."""
+    dt = s.dt[rows]
+    return (
+        (dt * (params.q + 1) * s.beta[rows])[:, None],
+        (dt * (params.p + 1) * s.gamma[rows])[:, None],
+        np.exp((-2.0 * s.alpha[rows] * dt)[:, None] * k_sq),
+    )
+
+
+def _start_row(params, grid, coeffs, rho, seed, opts):
+    """The starting state of one flow row: the seed as a Field on grid at
+    mass rho^2, and its coefficients, energy, step and the scales of its
+    stopping tests."""
+    if rho <= 0:
+        raise ValueError(f"mass-sphere radius must be positive, got {rho}")
     if isinstance(seed, AnalyticProfile):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            field = eval_profile(grid, seed)
-    else:
-        field = seed
-    field = spectral.normalize(field, rho)
-
+            seed = eval_profile(grid, seed)
+    field = spectral.normalize(seed, rho)
     tol_neg = 1e-6 * rho**2
-    qm1 = params.q - 1.0
-    pm1 = params.p - 1.0
     width0 = spectral.rms_width(field)
     # The box caps the rms width near L/sqrt(12), so the 4x growth target
     # saturates at a box fraction for wide seeds.
@@ -255,90 +384,88 @@ def minimize_on_sphere(params, coeffs, rho, opts=None, grid=None, seed=None):
     # whose energy is a small positive kinetic scale, not below tol_neg;
     # accept energies up to that scale as the zero-infimum signature.
     tol_spread = max(10 * tol_neg, rho**2 / spread_target**2)
-    initial_b = breakdown(field, params, coeffs)
-    energy = initial_b.total
-    initial_energy = energy
+    energy = breakdown(field, params, coeffs).total
     # Explicit-kick stability: dt * (nonlinear gradient scale) must stay
     # below order one; deep wells (huge amplitudes) need tiny steps.
     amp0 = float(np.abs(field.values).max())
-    kick_scale = (params.q + 1) * coeffs.beta * amp0**qm1 + (params.p + 1) * coeffs.gamma * amp0**pm1
+    kick_scale = (
+        (params.q + 1) * coeffs.beta * amp0 ** (params.q - 1.0)
+        + (params.p + 1) * coeffs.gamma * amp0 ** (params.p - 1.0)
+    )
     dt = min(opts.dt, 3.0 / kick_scale) if kick_scale > 0 else opts.dt
-    dt_start = dt
-    vals = field.values.copy()
-    sound = True
-    history = [energy]
-    residual = np.inf
-    certified_negative = False
-    worst_truncation = 0.0
+    return field, dict(
+        alpha=coeffs.alpha,
+        beta=coeffs.beta,
+        gamma=coeffs.gamma,
+        rho=rho,
+        dt=dt,
+        dt_start=dt,
+        energy=energy,
+        energy0=energy,
+        tol_neg=tol_neg,
+        tol_spread=tol_spread,
+        spread_target=spread_target,
+        width0=width0,
+    )
 
-    it = 0
-    while it < opts.max_iters:
-        it += 1
-        trial = vals.copy()
-        # Explicit nonlinear kick on the energy gradient's pointwise part.
-        backend.flow_kick(
-            trial.reshape(-1),
-            dt * (params.q + 1) * coeffs.beta,
-            dt * (params.p + 1) * coeffs.gamma,
-            qm1,
-            pm1,
-        )
-        # Exact decay for the -2 alpha Lap part.
-        hat = np.fft.fftn(trial.reshape(grid.shape))
-        hat *= np.exp(-2.0 * coeffs.alpha * dt * grid.k_sq)
-        trial = np.fft.ifftn(hat)
-        # Renormalize to the sphere.
-        m = float((trial.real**2 + trial.imag**2).sum()) * grid.cell_volume
-        if not np.isfinite(m) or m == 0:
-            raise RuntimeError(f"flow left the sphere at iteration {it}")
-        trial *= rho / np.sqrt(m)
 
-        f = Field(grid, trial)
-        b = breakdown(f, params, coeffs)
-        if b.total > energy + 1e-12 * max(1.0, abs(energy)):
-            dt *= 0.5
-            if dt < 1e-18 * dt_start:
-                break
-            continue
-        vals = trial
-        energy = b.total
-        history.append(energy)
-        worst_truncation = max(worst_truncation, spectral.truncation_fraction(f))
+def _checkpoint(s, c, vals, grid, params, opts):
+    """The every-10-iterations tests of rows c of s, just accepted with
+    values vals: store their residuals, and return which rows stop, on
+    the residual, the spreading signature or a stall."""
+    s.residual[c] = _residual(vals, grid, params, s.alpha[c, None], s.beta[c, None], s.gamma[c, None])
+    energy = s.energy[c]
+    spread = (
+        (-s.tol_neg[c] < energy)
+        & (energy < s.tol_spread[c])
+        & (_rms_width(vals.real**2 + vals.imag**2, grid) >= s.spread_target[c])
+    )
+    w = opts.stall_window
+    recent_drop = s.history[c, np.maximum(s.count[c] - w, 0)] - energy
+    scale = np.maximum(np.abs(s.history[c, 0] - energy), s.tol_neg[c])
+    stall = (
+        (s.count[c] > w)
+        & (np.abs(energy) < s.tol_spread[c])
+        & (recent_drop < (1 - opts.stall_factor) * scale)
+    )
+    return (s.residual[c] < opts.residual_tol) | spread | stall
 
-        if energy < -tol_neg:
-            # The flow is monotone, so negativity is certified for good.
-            certified_negative = True
-            break
-        if it % 10 == 0 or it == opts.max_iters:
-            residual = _residual(f, params, coeffs)
-            if residual < opts.residual_tol:
-                break
-            if -tol_neg < energy < tol_spread and spectral.rms_width(f) >= spread_target:
-                break
-            w = opts.stall_window
-            if len(history) > w and abs(energy) < tol_spread:
-                recent_drop = history[-w] - history[-1]
-                scale = max(abs(history[0] - history[-1]), tol_neg)
-                if recent_drop < (1 - opts.stall_factor) * scale:
-                    break
 
-    polished = certified_negative and opts.polish
+def _rms_width(a2, grid):
+    """spectral.rms_width of every row, from |u|^2 as a (rows, size) array."""
+    vol = grid.cell_volume
+    return np.sqrt((grid.x_sq.reshape(-1) * a2).sum(-1) * vol) / np.sqrt(a2.sum(-1) * vol)
+
+
+def _finish(params, grid, coeffs, rho, opts, it, rows, j):
+    """The MinimizeResult of row j of rows, stopped after it iterations:
+    _polish if asked, then the residual, classification and soundness."""
+    vals = rows.vals[j].reshape(grid.shape)
+    energy = float(rows.energy[j])
+    residual = float(rows.residual[j])
+    certified = bool(rows.certified[j])
+    tol_neg = float(rows.tol_neg[j])
+    polished = certified and opts.polish
     if polished:
         vals, energy, polish_iters, stopped = _polish(
             params, coeffs, rho, grid, vals, opts.residual_tol, opts.max_iters - it
         )
         it += polish_iters
     final = Field(grid, vals)
-    if certified_negative or not np.isfinite(residual):
-        residual = _residual(final, params, coeffs)
-    width_ratio = spectral.rms_width(final) / width0 if width0 > 0 else np.inf
+    if certified or not np.isfinite(residual):
+        residual = float(
+            _residual(vals.reshape(1, -1), grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma)[0]
+        )
+    width0 = rows.width0[j]
+    width_ratio = float(spectral.rms_width(final) / width0) if width0 > 0 else np.inf
 
-    if certified_negative:
+    sound = True
+    if certified:
         classification = "converged_negative"
         # A compact minimizer must keep the boundary shell quiet; a
         # spreading run populates it by construction, so the monitor
         # gates only the negative classification.
-        sound = worst_truncation < 1e-6
+        sound = bool(rows.worst[j] < 1e-6)
         if polished:
             # A sub-grid spike is a stationary point of the discrete
             # problem too; only a quiet spectral edge tells it apart.
@@ -348,7 +475,7 @@ def minimize_on_sphere(params, coeffs, rho, opts=None, grid=None, seed=None):
                 and spectral.truncation_fraction(final) < 1e-6
                 and spectral.spectral_tail_fraction(final) < 1e-6
             )
-    elif -tol_neg < energy < tol_spread and spectral.rms_width(final) >= spread_target:
+    elif -tol_neg < energy < rows.tol_spread[j] and spectral.rms_width(final) >= rows.spread_target[j]:
         classification = "spread_to_zero_energy"
     elif abs(energy) <= tol_neg and residual < opts.residual_tol:
         classification = "spread_to_zero_energy"
@@ -362,7 +489,7 @@ def minimize_on_sphere(params, coeffs, rho, opts=None, grid=None, seed=None):
         iterations=it,
         classification=classification,
         tol_neg=tol_neg,
-        initial_energy=initial_energy,
+        initial_energy=float(rows.energy0[j]),
         width_ratio=width_ratio,
         sound=sound,
     )
@@ -398,7 +525,9 @@ def _polish(params, coeffs, rho, grid, vals, residual_tol, budget):
     b = breakdown(Field(grid, vals), params, coeffs)
     tau = 1.0
     for it in range(budget):
-        grad = _energy_gradient(Field(grid, vals), params, coeffs)
+        grad = _energy_gradient(
+            vals.reshape(1, -1), grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma
+        ).reshape(grid.shape)
         mu = dot(grad, vals) * vol / rho**2
         r = grad - mu * vals
         if np.sqrt(dot(r, r) * vol) <= residual_tol * abs(mu) * rho:
@@ -452,17 +581,8 @@ class ProbeResult:
         return min(self.results, key=lambda r: r.energy)
 
 
-def probe(params, coeffs, rho, opts=None, grid=None, rng=None):
-    if opts is None:
-        opts = FlowOptions()
-    if grid is None:
-        grid = default_grid()
-    results = []
-    for w in opts.seed_widths:
-        if rng is not None:
-            w = w * float(rng.uniform(0.95, 1.05))
-        seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=w)
-        results.append(minimize_on_sphere(params, coeffs, rho, opts, grid, seed))
+def _verdict(rho, results):
+    """The ProbeResult at mass rho of its seeds' MinimizeResults."""
     classes = [r.classification for r in results]
     if "converged_negative" in classes:
         verdict = "negative"
@@ -481,6 +601,33 @@ def probe(params, coeffs, rho, opts=None, grid=None, rng=None):
     return ProbeResult(
         rho=rho, results=results, verdict=verdict, sound=all(r.sound for r in results)
     )
+
+
+def _probes(params, grid, asks, opts):
+    """One ProbeResult per (coeffs, rho, rng) in asks, from one _flow_rows
+    call over the seeds of every probe.  Each probe draws its seed-width
+    jitter from its own rng, in seed order."""
+    coeffs, rhos, seeds = [], [], []
+    for c, rho, rng in asks:
+        for w in opts.seed_widths:
+            if rng is not None:
+                w = w * float(rng.uniform(0.95, 1.05))
+            coeffs.append(c)
+            rhos.append(rho)
+            seeds.append(AnalyticProfile(kind="gaussian", amplitude=1.0, width=w))
+    results = _flow_rows(params, grid, coeffs, rhos, seeds, opts)
+    k = len(opts.seed_widths)
+    return [_verdict(rho, results[i * k:(i + 1) * k]) for i, (_, rho, _) in enumerate(asks)]
+
+
+def probe(params, coeffs, rho, opts=None, grid=None, rng=None):
+    """Flow every seed width of opts at mass rho^2, as rows of one flow,
+    and classify the probe (ProbeResult)."""
+    if opts is None:
+        opts = FlowOptions()
+    if grid is None:
+        grid = default_grid(params.d)
+    return _probes(params, grid, [(coeffs, rho, rng)], opts)[0]
 
 
 class BracketingError(RuntimeError):
@@ -507,6 +654,82 @@ class ThresholdResult:
         return self.rho_hi - self.rho_lo
 
 
+def _reduced_triple(params, coeffs):
+    """The (1, 1, Lambda) problem of coeffs in the energy triple's units:
+    the energy triple's alpha and beta, with the gamma of the same Lambda."""
+    if coeffs.beta == 0:
+        raise ValueError("threshold bisection needs strictly positive coefficients")
+    if params.regime not in ("variational", "scattering"):
+        raise ValueError("threshold bisection needs an admissible regime")
+    ref = energy_coeffs(params)
+    r = params.delta_p / params.delta_q
+    return CoeffTriple(
+        ref.alpha,
+        ref.beta,
+        coeffs.gamma * (ref.alpha / coeffs.alpha) ** (1 - r) * (ref.beta / coeffs.beta) ** r,
+    )
+
+
+def _bisection(bracket_tol, probes):
+    """The bisection of threshold_mass, one probe at a time: yields each
+    mass to probe, is sent back its ProbeResult (which the caller has
+    appended to probes), and returns the final (rho_lo, rho_hi)."""
+    lo, hi = DEFAULT_BRACKET
+    p_lo = yield lo
+    expand = 0
+    while p_lo.verdict != "zero" and expand < 7:
+        lo /= 2
+        p_lo = yield lo
+        expand += 1
+    p_hi = yield hi
+    expand = 0
+    while p_hi.verdict != "negative" and expand < 7:
+        hi *= 2
+        p_hi = yield hi
+        expand += 1
+    if p_lo.verdict != "zero" or p_hi.verdict != "negative":
+        raise BracketingError(
+            f"could not bracket the threshold in [{lo}, {hi}]: "
+            f"lo verdict {p_lo.verdict}, hi verdict {p_hi.verdict}",
+            probes=probes,
+        )
+
+    while hi - lo > bracket_tol * 0.5 * (lo + hi):
+        mid = 0.5 * (lo + hi)
+        if (yield mid).verdict == "negative":
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _bisect_lockstep(params, triples, bracket_tol, opts, rngs=None):
+    """Run one _bisection per reduced triple, in lockstep: each round
+    probes the pending mass of every unfinished bisection in one
+    _flow_rows call, on the default box in params.d dimensions.  Returns
+    one ThresholdResult per triple."""
+    if opts is None:
+        opts = FlowOptions()
+    if rngs is None:
+        rngs = [None] * len(triples)
+    grid = default_grid(params.d)
+    probes = [[] for _ in triples]
+    bisections = [_bisection(bracket_tol, log) for log in probes]
+    pending = {i: next(b) for i, b in enumerate(bisections)}
+    brackets = {}
+    while pending:
+        order = list(pending)
+        asks = [(triples[i], pending[i], rngs[i]) for i in order]
+        for i, pr in zip(order, _probes(params, grid, asks, opts)):
+            probes[i].append(pr)
+            try:
+                pending[i] = bisections[i].send(pr)
+            except StopIteration as end:
+                del pending[i]
+                brackets[i] = end.value
+    return [ThresholdResult(*brackets[i], probes[i]) for i in range(len(triples))]
+
+
 def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     """Bisect the zero/negative dichotomy of the constrained infimum.
 
@@ -527,55 +750,10 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     included, moves the lower end.  A probe's soundness does not steer
     the bisection: it is recorded per probe in the result (the CLI's
     .threshold.json) and in the manifest's sound flag.  Acting on
-    unsound or unresolved probes is direction 5 of ROADMAP.md.
+    unsound or unresolved probes is direction 5 of ROADMAP.md.  Each
+    probe runs its seeds as rows of one flow (_flow_rows).
     """
-    if coeffs.beta == 0:
-        raise ValueError("threshold bisection needs strictly positive coefficients")
-    if params.regime not in ("variational", "scattering"):
-        raise ValueError("threshold bisection needs an admissible regime")
-    ref = energy_coeffs(params)
-    r = params.delta_p / params.delta_q
-    reduced = CoeffTriple(
-        ref.alpha,
-        ref.beta,
-        coeffs.gamma * (ref.alpha / coeffs.alpha) ** (1 - r) * (ref.beta / coeffs.beta) ** r,
-    )
-    grid = replace(default_grid(), d=params.d)
-    probes = []
-
-    def run(rho):
-        pr = probe(params, reduced, rho, opts, grid, rng)
-        probes.append(pr)
-        return pr
-
-    lo, hi = DEFAULT_BRACKET
-    p_lo = run(lo)
-    expand = 0
-    while p_lo.verdict != "zero" and expand < 7:
-        lo /= 2
-        p_lo = run(lo)
-        expand += 1
-    p_hi = run(hi)
-    expand = 0
-    while p_hi.verdict != "negative" and expand < 7:
-        hi *= 2
-        p_hi = run(hi)
-        expand += 1
-    if p_lo.verdict != "zero" or p_hi.verdict != "negative":
-        raise BracketingError(
-            f"could not bracket the threshold in [{lo}, {hi}]: "
-            f"lo verdict {p_lo.verdict}, hi verdict {p_hi.verdict}",
-            probes=probes,
-        )
-
-    while hi - lo > bracket_tol * 0.5 * (lo + hi):
-        mid = 0.5 * (lo + hi)
-        pr = run(mid)
-        if pr.verdict == "negative":
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdResult(rho_lo=lo, rho_hi=hi, probes=probes)
+    return _bisect_lockstep(params, [_reduced_triple(params, coeffs)], bracket_tol, opts, [rng])[0]
 
 
 def lambda_reduction(coeffs, params):
@@ -633,10 +811,11 @@ class NamedThresholds:
 
 
 def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts=None):
-    """Bisect every named threshold, one after another, each distinct
-    Lambda once: triples with the same Lambda (rho_star and rho1[1.0])
-    share one ThresholdResult.  The rho1/rho* entries require the
-    scattering regime."""
+    """Bisect every named threshold, each distinct Lambda once and all of
+    them in lockstep (_bisect_lockstep), so every round probes one mass
+    of each unfinished bisection in one flow.  Triples with the same
+    Lambda (rho_star and rho1[1.0]) share one ThresholdResult.  The
+    rho1/rho* entries require the scattering regime."""
     if params.regime != "scattering":
         raise ValueError("named thresholds are defined in the scattering regime")
     dq = params.delta_q
@@ -644,20 +823,24 @@ def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts
         A_grid = tuple(round(a, 6) for a in np.linspace(dq + 0.1 * (1 - dq), 1.0, 5))
     if eps_grid is None:
         eps_grid = (0.4, 0.2, 0.1, 0.05, 0.025)
-    by_lambda = {}
-
-    def bisect(coeffs):
-        lam = lambda_reduction(coeffs, params)
-        if lam not in by_lambda:
-            by_lambda[lam] = threshold_mass(params, coeffs, bracket_tol, opts)
-        return by_lambda[lam]
-
+    A_grid = sorted(set(A_grid))
+    eps_grid = sorted(set(eps_grid))
+    triples = [triple_energy(params), triple_standing_wave(params), triple_star(params)]
+    triples += [triple_rho1(params, a) for a in A_grid]
+    triples += [triple_rho2(params, e) for e in eps_grid]
+    lambdas = [lambda_reduction(c, params) for c in triples]
+    first = {}
+    for lam, c in zip(lambdas, triples):
+        first.setdefault(lam, c)
+    reduced = [_reduced_triple(params, c) for c in first.values()]
+    by_lambda = dict(zip(first, _bisect_lockstep(params, reduced, bracket_tol, opts)))
+    th = [by_lambda[lam] for lam in lambdas]
     return NamedThresholds(
-        rho_E=bisect(triple_energy(params)),
-        rho_SW=bisect(triple_standing_wave(params)),
-        rho_star=bisect(triple_star(params)),
-        rho1={a: bisect(triple_rho1(params, a)) for a in sorted(set(A_grid))},
-        rho2={e: bisect(triple_rho2(params, e)) for e in sorted(set(eps_grid))},
+        rho_E=th[0],
+        rho_SW=th[1],
+        rho_star=th[2],
+        rho1=dict(zip(A_grid, th[3:])),
+        rho2=dict(zip(eps_grid, th[3 + len(A_grid):])),
     )
 
 

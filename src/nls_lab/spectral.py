@@ -66,7 +66,7 @@ def power_integrals(field, q, p):
     """(||u||_2^2, ||u||_{q+1}^{q+1}, ||u||_{p+1}^{p+1}) in one pass."""
     s2, sq, sp = backend.power_sums(field.values.ravel(), q + 1.0, p + 1.0)
     vol = field.grid.cell_volume
-    return s2 * vol, sq * vol, sp * vol
+    return float(s2) * vol, float(sq) * vol, float(sp) * vol
 
 
 def gradient_sq_norm(field):
@@ -120,30 +120,22 @@ def rms_width(field):
 
 def truncation_fraction(field):
     """Mass fraction outside the core box [-L/4, L/4]^d."""
-    g = field.grid
     a2 = field.values.real**2 + field.values.imag**2
-    inside = np.ones(g.shape, dtype=bool)
-    for x in g.x_mesh:
-        inside = inside & (np.abs(x) <= g.L / 4)
     total = float(a2.sum())
     if total == 0:
         return 0.0
-    return float(a2[~inside].sum()) / total
+    return float(a2[~field.grid.core_mask].sum()) / total
 
 
 def spectral_tail_fraction(field):
     """Spectral mass fraction beyond half the Nyquist wavenumber on any
     axis: the Fourier-side twin of truncation_fraction."""
-    g = field.grid
     hat = np.fft.fftn(field.values)
     a2 = hat.real**2 + hat.imag**2
-    inside = np.ones(g.shape, dtype=bool)
-    for k in g.k_mesh:
-        inside = inside & (np.abs(k) <= np.pi * g.n / (2 * g.L))
     total = float(a2.sum())
     if total == 0:
         return 0.0
-    return float(a2[~inside].sum()) / total
+    return float(a2[~field.grid.half_nyquist_mask].sum()) / total
 
 
 def free_multiplier(field, t):

@@ -154,3 +154,17 @@ def test_json_roundtrip_and_size_guard():
     big = Grid(d=2, n=128, L=8.0)
     with pytest.raises(ValueError):
         field_to_json(Field(big, np.zeros(big.shape, dtype=complex)))
+
+
+def test_cached_masks_match_their_definitions():
+    """The core-box and half-Nyquist masks are built once per grid and
+    select the points truncation_fraction and spectral_tail_fraction
+    count as inside."""
+    g = Grid(d=2, n=16, L=8.0)
+    x, y = np.meshgrid(g.axis, g.axis, indexing="ij")
+    kx, ky = np.meshgrid(g.wavenumbers, g.wavenumbers, indexing="ij")
+    half = np.pi * g.n / (2 * g.L)
+    assert np.array_equal(g.core_mask, (np.abs(x) <= 2.0) & (np.abs(y) <= 2.0))
+    assert np.array_equal(g.half_nyquist_mask, (np.abs(kx) <= half) & (np.abs(ky) <= half))
+    assert g.core_mask is g.core_mask
+    assert g.half_nyquist_mask is g.half_nyquist_mask

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from nls_lab import ground_state as gs
@@ -66,6 +68,62 @@ def test_minimize_decreases_energy(params):
     assert res.energy <= res.initial_energy
     with pytest.raises(ValueError):
         gs.minimize_on_sphere(params, gs.triple_energy(params), -1.0)
+
+
+def test_minimize_without_grid_runs_in_params_dimension():
+    """With no grid the default box has the model's dimension."""
+    p2 = ModelParams(d=2, q=2.0, p=2.5)
+    res = gs.minimize_on_sphere(p2, gs.triple_energy(p2), 1.0, gs.FlowOptions(max_iters=1))
+    assert res.field.grid.d == 2
+    assert res.iterations == 1
+
+
+_ROW_GRID = Grid(d=1, n=64, L=16.0)
+
+
+def _row_key(r):
+    return (
+        r.energy, r.residual, r.iterations, r.classification, r.tol_neg,
+        r.initial_energy, r.width_ratio, r.sound, r.field.values.tobytes(),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(0.3, 4.0), st.floats(0.1, 0.4), st.floats(0.6, 3.0)),
+        min_size=1,
+        max_size=5,
+    ),
+    max_iters=st.integers(1, 25),
+    dt=st.sampled_from([0.05, 0.5]),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_flow_rows_match_each_row_run_alone(params, rows, max_iters, dt, shuffle):
+    """Every row of a batch, in any order and beside any other rows (mixed
+    rho, gamma and seed width), gives bit for bit the result of that row
+    run alone; a second run of the batch gives the same results."""
+    opts = gs.FlowOptions(max_iters=max_iters, dt=dt)
+    coeffs = [CoeffTriple(0.5, 0.2, gamma) for _, gamma, _ in rows]
+    rhos = [rho for rho, _, _ in rows]
+    seeds = [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for _, _, w in rows]
+    alone = [
+        _row_key(gs._flow_rows(params, _ROW_GRID, [c], [rho], [seed], opts)[0])
+        for c, rho, seed in zip(coeffs, rhos, seeds)
+    ]
+    order = list(range(len(rows)))
+    shuffle.shuffle(order)
+
+    def batch():
+        res = gs._flow_rows(
+            params, _ROW_GRID, [coeffs[i] for i in order], [rhos[i] for i in order],
+            [seeds[i] for i in order], opts,
+        )
+        return [_row_key(r) for r in res]
+
+    first = batch()
+    assert first == [alone[i] for i in order]
+    assert batch() == first
 
 
 def test_polished_minimizer_matches_soliton_quadrature(params):
@@ -224,6 +282,25 @@ def test_pure_focusing_exponent():
 def test_named_thresholds_bisect_each_lambda_once(named):
     """rho_star and rho1(1.0) are the same triple, so one bisection."""
     assert named.rho_star is named.rho1[1.0]
+
+
+def test_named_thresholds_match_threshold_mass(sparams):
+    """The lockstep bisections give every named entry the bracket and the
+    probe log (masses, verdicts, seed energies) of its own
+    threshold_mass run."""
+    named = gs.named_thresholds(sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,))
+    entries = (
+        (named.rho_E, gs.triple_energy(sparams)),
+        (named.rho_SW, gs.triple_standing_wave(sparams)),
+        (named.rho_star, gs.triple_star(sparams)),
+        (named.rho2[0.4], gs.triple_rho2(sparams, 0.4)),
+    )
+    for th, coeffs in entries:
+        alone = gs.threshold_mass(sparams, coeffs, bracket_tol=0.1)
+        assert (th.rho_lo, th.rho_hi) == (alone.rho_lo, alone.rho_hi)
+        assert [(p.rho, p.verdict, [r.energy for r in p.results]) for p in th.probes] == [
+            (p.rho, p.verdict, [r.energy for r in p.results]) for p in alone.probes
+        ]
 
 
 def test_named_thresholds_need_scattering_regime(params):

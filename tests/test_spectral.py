@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nls_lab import spectral
+from nls_lab import backend, spectral
 from nls_lab.grid import AnalyticProfile, Field, Grid, eval_profile
 from oracles import free_gaussian
 
@@ -35,6 +35,25 @@ def test_power_integrals_match_lp(gauss):
     assert m == pytest.approx(spectral.mass(gauss), rel=1e-13)
     assert nq == pytest.approx(spectral.lp_norm(gauss, 5.0) ** 5, rel=1e-13)
     assert npw == pytest.approx(spectral.lp_norm(gauss, 5.5) ** 5.5, rel=1e-13)
+
+
+def test_row_kernels_match_rows_one_at_a_time(grid512):
+    """flow_kick and power_sums on a (rows, size) array with per-row
+    weights give each row exactly what a call on that row alone gives."""
+    rows = np.stack([
+        eval_profile(grid512, AnalyticProfile(kind="gaussian", amplitude=a, width=w)).values
+        for a, w in ((1.0, 1.0), (0.7, 2.5), (1.9, 4.0))
+    ])
+    aq = np.array([0.01, 0.2, 0.05])
+    ap = np.array([0.03, 0.1, 0.3])
+    kicked = rows.copy()
+    backend.flow_kick(kicked, aq[:, None], ap[:, None], 3.0, 3.5)
+    sums = backend.power_sums(kicked, 5.0, 5.5)
+    for i, row in enumerate(rows):
+        alone = row.copy()
+        backend.flow_kick(alone, aq[i], ap[i], 3.0, 3.5)
+        assert np.array_equal(kicked[i], alone)
+        assert [float(s[i]) for s in sums] == [float(s) for s in backend.power_sums(alone, 5.0, 5.5)]
 
 
 def test_sobolev_norm_endpoints(gauss):
