@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__, conformal, ground_state, spectral
-from .config import SUBCOMMANDS, ConfigError, parse_config
+from .config import SCATTER_SNAPSHOT_TAUS, SUBCOMMANDS, ConfigError, parse_config
 from .evolution import EvolutionError, EvolveControls, EvolutionState, StrangStepper, evolve
 from .functionals import ModelParams, energy_coeffs
 from .grid import AnalyticProfile, eval_profile, field_to_bytes
@@ -190,7 +190,7 @@ def cmd_evolve(cfg, emit):
 
 def cmd_scatter(cfg, emit):
     state = _initial_state(cfg, "conformal")
-    taus = cfg.get("snapshot_taus", (0.9, 0.95, 0.99, 0.995, 0.999))
+    taus = cfg.get("snapshot_taus", SCATTER_SNAPSHOT_TAUS)
     controls = EvolveControls(
         dt_base=cfg.get("dt_base", 1e-2),
         c_adapt=cfg.get("c_adapt", 0.01),
@@ -198,7 +198,7 @@ def cmd_scatter(cfg, emit):
         snapshot_clocks=taus,
         free_flow=cfg.get("free_flow", False),
     )
-    traj = evolve(state, max(taus), controls)
+    traj = evolve(state, cfg.get("tau_max", max(taus)), controls)
     report = conformal.scattering_probe(traj)
     emit.write(
         ".scatter.json",
@@ -238,10 +238,10 @@ def cmd_verify(cfg, emit):
     checks.append(("energy_drift_small", float(np.max(np.abs(e - e[0]))) < 1e-4))
 
     stepper = StrangStepper(grid, params, "physical")
-    vals = psi0.values.copy()
-    stepper.step(vals, 0.0, 1e-2)
-    stepper.step(vals, 0.0, 1e-2, reverse=True)
-    rev_err = float(np.max(np.abs(vals - psi0.values)))
+    hat = np.fft.fftn(psi0.values)
+    stepper.step(hat, 0.0, 1e-2)
+    stepper.step(hat, 0.0, 1e-2, reverse=True)
+    rev_err = float(np.max(np.abs(np.fft.ifftn(hat) - psi0.values)))
     checks.append(("time_reversal", rev_err < 1e-10))
 
     pair = conformal.make_pair(psi0, 0.0)

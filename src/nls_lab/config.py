@@ -12,7 +12,7 @@ import numpy as np
 from .functionals import CoeffTriple, ModelParams
 from .grid import AnalyticProfile, Grid
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "SCATTER_SNAPSHOT_TAUS"]
 
 SUBCOMMANDS = (
     "threshold",
@@ -23,6 +23,9 @@ SUBCOMMANDS = (
     "verify",
     "sweep",
 )
+
+# Probe clocks of `scatter` when the config sets no snapshot_taus.
+SCATTER_SNAPSHOT_TAUS = (0.9, 0.95, 0.99, 0.995, 0.999)
 
 
 class ConfigError(ValueError):
@@ -207,6 +210,12 @@ def parse_config(text, subcommand):
         errors.append("t_max: required for a physical-model evolve")
     if subcommand == "evolve" and model == "conformal" and "tau_max" not in values:
         errors.append("tau_max: required for a conformal-model evolve")
+    if subcommand == "scatter" and "tau_max" in values:
+        taus = values.get("snapshot_taus", SCATTER_SNAPSHOT_TAUS)
+        late = [t for t in taus if t > values["tau_max"]]
+        if late:
+            kind = "entries" if "snapshot_taus" in values else "default entries"
+            errors.append(f"snapshot_taus: {kind} {late} lie beyond tau_max = {values['tau_max']}")
     for a in values.get("A_list", ()):
         if not 0 < a <= 1:
             errors.append(f"A_list: decay exponents must lie in (0, 1] (got {a})")

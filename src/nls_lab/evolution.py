@@ -9,6 +9,12 @@ The free group is U(t) = e^{i t Lap}, Fourier symbol e^{-i |k|^2 t}; the
 nonlinear substep therefore rotates the phase by minus the integrated
 coefficients.  Both substeps preserve |values| pointwise or spectrally,
 so the mass is conserved to roundoff.
+
+The loop carries the state's spectrum (its fftn) from step to step: a
+step costs 2 FFTs (into physical space for the nonlinear phase and
+back), and a diagnostic record 1 more (the physical state it reads).
+The kinetic term and the momentum of a record come from the spectrum
+by Parseval, with no transform.
 """
 
 import csv
@@ -90,8 +96,12 @@ class StrangStepper:
     """Symmetric splitting: exact half linear step, exact nonlinear phase
     with substep-integrated coefficients, exact half linear step.
 
-    The linear multiplier is cached per dt; reverse=True negates both the
-    linear phase and the weights, undoing a forward step exactly.
+    The state is a spectrum, fftn of the field, advanced in place: the
+    half linear steps multiply it, and the nonlinear phase acts on its
+    inverse transform, so a step costs 2 FFTs (none under free_flow).
+    The half linear multiplier is built once per dt; reverse=True
+    negates both the linear phase and the weights, undoing a forward
+    step exactly.
     """
 
     def __init__(self, grid, params, model, free_flow=False):
@@ -101,27 +111,43 @@ class StrangStepper:
         self.free_flow = free_flow
         self._qm1 = params.q - 1.0
         self._pm1 = params.p - 1.0
+        self._k_sq_half = grid.wavenumbers[: grid.n // 2 + 1] ** 2
         self._dt = None
         self._half = None
 
     def _half_linear(self, dt):
+        """exp(-i |k|^2 dt / 2).  The symbol is even in k and separable
+        over axes, so cos and sin are taken on the n/2 + 1 wavenumbers
+        k >= 0 of one axis (the Nyquist one is its own mirror image),
+        mirrored to the negative ones and multiplied out over the axes."""
         if dt != self._dt:
-            self._half = np.exp(-0.5j * self.grid.k_sq * dt)
+            h = self.grid.n // 2
+            angle = 0.5 * self._k_sq_half * dt
+            axis = np.empty(self.grid.n, dtype=np.complex128)
+            np.cos(angle, out=axis.real[: h + 1])
+            np.sin(-angle, out=axis.imag[: h + 1])
+            axis[h + 1 :] = axis[h - 1 : 0 : -1]
+            half = axis
+            for _ in range(self.grid.d - 1):
+                half = np.multiply.outer(half, axis)
+            self._half = half
             self._dt = dt
         return self._half
 
-    def step(self, values, clock, dt, reverse=False):
-        """Advance values in place over [clock, clock+dt] (forward weights
-        even when reverse, which then negates them)."""
+    def step(self, hat, clock, dt, reverse=False):
+        """Advance the spectrum hat in place over [clock, clock+dt]
+        (forward weights even when reverse, which then negates them)."""
         half = self._half_linear(dt)
         lin = np.conj(half) if reverse else half
-        values[...] = np.fft.ifftn(np.fft.fftn(values) * lin)
+        hat *= lin
         if not self.free_flow:
             wq, wp = nonlinear_phase_weights(self.model, clock, dt, self.params)
             if reverse:
                 wq, wp = -wq, -wp
+            values = np.fft.ifftn(hat)
             backend.nonlinear_phase(values.reshape(-1), self._qm1, self._pm1, wq, wp)
-        values[...] = np.fft.ifftn(np.fft.fftn(values) * lin)
+            hat[...] = np.fft.fftn(values)
+        hat *= lin
 
 
 @dataclass
@@ -209,8 +235,11 @@ class Trajectory:
         return buf.getvalue()
 
 
-def _record(state, controls, want_snapshot):
-    b = breakdown(state.field, state.params)
+def _record(state, hat, controls, want_snapshot):
+    """Diagnostics of state, whose field has the spectrum hat."""
+    g = state.field.grid
+    kinetic, *momentum = spectral.parseval_sums(hat, g, (g.k_sq, *g.k_mesh))
+    b = breakdown(state.field, state.params, kinetic=kinetic)
     tau = state.clock if state.model == "conformal" else 0.0
     e_mod = {}
     r_mod = {}
@@ -221,7 +250,7 @@ def _record(state, controls, want_snapshot):
     return DiagRecord(
         clock=state.clock,
         mass=b.mass,
-        momentum=spectral.momentum(state.field),
+        momentum=np.array(momentum),
         kinetic=b.kinetic,
         nq=b.nq,
         np=b.np,
@@ -240,6 +269,10 @@ def evolve(state, end_clock, controls):
     blowup stays resolved; records land exactly on snapshot_clocks and on
     end_clock.  A truncation-monitor trip marks the trajectory unsound
     from that record onward (records keep accumulating).
+
+    The initial field is transformed once; the steps advance its
+    spectrum, and the physical state is formed only when a record is due.
+    A non-finite spectrum raises EvolutionError with the records so far.
     """
     if end_clock <= state.clock:
         raise ValueError("end_clock must exceed the current clock")
@@ -251,13 +284,13 @@ def evolve(state, end_clock, controls):
         stops.append(end_clock)
     snapshot_set = set(float(c) for c in controls.snapshot_clocks)
 
-    stepper = StrangStepper(state.field.grid, state.params, state.model, controls.free_flow)
-    vals = state.field.values.copy()
+    grid = state.field.grid
+    stepper = StrangStepper(grid, state.params, state.model, controls.free_flow)
+    hat = np.fft.fftn(state.field.values)
     clock = state.clock
     params = state.params
     traj = Trajectory(model=state.model, params=params, record_A=tuple(controls.record_A))
-    cur = EvolutionState(Field(state.field.grid, vals.copy()), clock, state.model, params)
-    traj.records.append(_record(cur, controls, want_snapshot=clock in snapshot_set))
+    traj.records.append(_record(state, hat, controls, want_snapshot=clock in snapshot_set))
 
     steps = 0
     for stop in stops:
@@ -266,18 +299,20 @@ def evolve(state, end_clock, controls):
             if state.model == "conformal" and controls.adaptive:
                 dt = min(dt, controls.c_adapt * (1.0 - clock))
             dt = min(dt, stop - clock)
-            stepper.step(vals, clock, dt)
+            stepper.step(hat, clock, dt)
             clock += dt
             steps += 1
-            if not np.all(np.isfinite(vals.view(np.float64))):
+            # A non-finite value anywhere in the field spreads over its
+            # whole transform, so checking the spectrum checks the field.
+            if not np.all(np.isfinite(hat.view(np.float64))):
                 raise EvolutionError(f"non-finite field at clock {clock}", trajectory=traj)
             at_stop = clock >= stop - 1e-13
             if steps % controls.cadence == 0 or at_stop:
                 if at_stop:
                     clock = stop
-                cur = EvolutionState(Field(state.field.grid, vals.copy()), clock, state.model, params)
+                cur = EvolutionState(Field(grid, np.fft.ifftn(hat)), clock, state.model, params)
                 traj.records.append(
-                    _record(cur, controls, want_snapshot=at_stop and stop in snapshot_set)
+                    _record(cur, hat, controls, want_snapshot=at_stop and stop in snapshot_set)
                 )
     return traj
 

@@ -117,13 +117,14 @@ class EnergyBreakdown:
             raise ValueError("raw integrals must be nonnegative")
 
 
-def breakdown(field, params, coeffs=None):
+def breakdown(field, params, coeffs=None, kinetic=None):
     """Compute the raw integrals once; total uses coeffs (default: the
-    physical energy weights)."""
+    physical energy weights).  A caller that holds the field's spectrum
+    passes K as kinetic (spectral.parseval_sums), which saves the FFT."""
     if coeffs is None:
         coeffs = energy_coeffs(params)
     m, nq, npw = spectral.power_integrals(field, params.q, params.p)
-    k = spectral.gradient_sq_norm(field)
+    k = spectral.gradient_sq_norm(field) if kinetic is None else kinetic
     total = coeffs.alpha * k + coeffs.beta * nq - coeffs.gamma * npw
     return EnergyBreakdown(kinetic=k, nq=nq, np=npw, mass=m, total=total)
 

@@ -5,6 +5,8 @@ accurate for smooth periodic data.  Norm conventions:
 
     lp_norm(u, r)      = (sum |u|^r h^d)^(1/r)
     gradient_sq_norm   = ||grad u||_2^2 via the |k|^2 multiplier
+    parseval_sums      = h^d/N sum w |u_hat|^2 for Fourier weights w, from
+                         a spectrum the caller already holds
     sobolev_norm(u, s) = ||(1 + |k|^2)^(s/2) u_hat||_2 (discrete Plancherel)
     weighted_l2        = || |x| u ||_2 with box-centered coordinates
     momentum           = Im int conj(u) grad u dx, one component per axis
@@ -21,6 +23,7 @@ __all__ = [
     "mass",
     "l2_norm",
     "gradient_sq_norm",
+    "parseval_sums",
     "weighted_l2",
     "sobolev_norm",
     "momentum",
@@ -69,21 +72,25 @@ def power_integrals(field, q, p):
     return float(s2) * vol, float(sq) * vol, float(sp) * vol
 
 
+def parseval_sums(hat, grid, weights):
+    """[h^d/N * sum(w |hat|^2) for w in weights]: by Parseval, the
+    integrals int conj(u) w(-i grad) u dx of the field u whose fftn is
+    hat, all from one |hat|^2 and no transform."""
+    a2 = hat.real**2 + hat.imag**2
+    return [float((w * a2).sum()) * grid.cell_volume / grid.size for w in weights]
+
+
 def gradient_sq_norm(field):
     g = field.grid
-    hat = np.fft.fftn(field.values)
-    a2 = hat.real**2 + hat.imag**2
-    return float((g.k_sq * a2).sum()) * g.cell_volume / g.size
+    return parseval_sums(np.fft.fftn(field.values), g, (g.k_sq,))[0]
 
 
 def sobolev_norm(field, s):
     if not -4 <= s <= 4:
         raise ValueError(f"Sobolev order restricted to [-4, 4], got {s}")
     g = field.grid
-    hat = np.fft.fftn(field.values)
-    a2 = hat.real**2 + hat.imag**2
     w = (1.0 + g.k_sq) ** s
-    return np.sqrt(float((w * a2).sum()) * g.cell_volume / g.size)
+    return np.sqrt(parseval_sums(np.fft.fftn(field.values), g, (w,))[0])
 
 
 def weighted_l2(field):
@@ -94,12 +101,7 @@ def weighted_l2(field):
 
 def momentum(field):
     g = field.grid
-    hat = np.fft.fftn(field.values)
-    a2 = hat.real**2 + hat.imag**2
-    out = np.empty(g.d)
-    for j, k in enumerate(g.k_mesh):
-        out[j] = float((k * a2).sum()) * g.cell_volume / g.size
-    return out
+    return np.array(parseval_sums(np.fft.fftn(field.values), g, g.k_mesh))
 
 
 def normalize(field, rho):

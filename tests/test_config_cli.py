@@ -126,12 +126,14 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+SCATTER_CFG = (
+    "d = 1\nn = 256\nL = 64\nq = 4\np = 4.5\nprofile = gaussian\nwidth = 2\n"
+    "rho = 0.3\ncadence = 10\n"
+)
+
+
 def test_cli_scatter_run(tmp_path):
-    text = (
-        "d = 1\nn = 256\nL = 64\nq = 4\np = 4.5\nprofile = gaussian\nwidth = 2\n"
-        "rho = 0.3\ncadence = 10\n"
-    )
-    cfg = _write(tmp_path, text)
+    cfg = _write(tmp_path, SCATTER_CFG)
     out = str(tmp_path / "s")
     rc = cli.main(["scatter", "--config", cfg, "--out", out])
     assert rc == cli.EXIT_OK
@@ -139,6 +141,46 @@ def test_cli_scatter_run(tmp_path):
     assert doc["verdict"] == "scattering_consistent"
     lines = open(out + ".residuals.csv").read().splitlines()
     assert len(lines) == 6  # header + 5 probe rows
+
+
+def test_cli_scatter_evolves_to_tau_max(tmp_path, monkeypatch):
+    ends = []
+    evolve = cli.evolve
+
+    def recording_evolve(state, end_clock, controls):
+        ends.append(end_clock)
+        return evolve(state, end_clock, controls)
+
+    monkeypatch.setattr(cli, "evolve", recording_evolve)
+    cfg = _write(tmp_path, SCATTER_CFG + "snapshot_taus = 0.3, 0.4, 0.5\ntau_max = 0.6\n")
+    assert cli.main(["scatter", "--config", cfg, "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+    cfg = _write(tmp_path, SCATTER_CFG + "snapshot_taus = 0.3, 0.4, 0.5\n")
+    assert cli.main(["scatter", "--config", cfg, "--out", str(tmp_path / "t")]) == cli.EXIT_OK
+    assert ends == [0.6, 0.5]
+
+
+def test_scatter_snapshot_beyond_tau_max_is_a_config_error(tmp_path, capsys):
+    for extra in ("tau_max = 0.5\n", "snapshot_taus = 0.3, 0.7\ntau_max = 0.5\nn = 6\n"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(SCATTER_CFG + extra, "scatter")
+        late = [m for m in exc.value.errors if m.startswith("snapshot_taus:")]
+        assert len(late) == 1 and "tau_max" in late[0]
+    assert any(m.startswith("n:") for m in exc.value.errors)
+    cfg = _write(tmp_path, SCATTER_CFG + "tau_max = 0.5\n")
+    assert cli.main(["scatter", "--config", cfg, "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+    assert "snapshot_taus" in capsys.readouterr().err
+    assert not (tmp_path / "s.manifest.json").exists()
+
+
+def test_cli_evolve_blowup_exit_code(tmp_path, capsys):
+    text = EVOLVE_CFG.replace("rho = 1.0", "rho = 1e90")
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "b")
+    with np.errstate(all="ignore"):
+        rc = cli.main(["evolve", "--config", cfg, "--out", out])
+    assert rc == cli.EXIT_EVOLUTION
+    assert "non-finite field" in capsys.readouterr().err
+    assert not (tmp_path / "b.manifest.json").exists()
 
 
 def test_cli_verify_run(tmp_path, capsys):

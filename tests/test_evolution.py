@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from nls_lab import spectral
 from nls_lab.evolution import (
+    EvolutionError,
     EvolutionState,
     EvolveControls,
     StrangStepper,
@@ -16,8 +17,8 @@ from nls_lab.evolution import (
     evolve,
     nonlinear_phase_weights,
 )
-from nls_lab.functionals import ModelParams
-from nls_lab.grid import AnalyticProfile, eval_profile
+from nls_lab.functionals import ModelParams, breakdown
+from nls_lab.grid import AnalyticProfile, Grid, eval_profile
 
 
 @pytest.fixture
@@ -68,12 +69,84 @@ def test_mass_and_momentum_conservation(psi0, params):
 
 def test_time_reversal(psi0, params):
     stepper = StrangStepper(psi0.grid, params, "physical")
-    vals = psi0.values.copy()
+    hat = np.fft.fftn(psi0.values)
     for _ in range(20):
-        stepper.step(vals, 0.0, 1e-2)
+        stepper.step(hat, 0.0, 1e-2)
     for _ in range(20):
-        stepper.step(vals, 0.0, 1e-2, reverse=True)
-    assert np.max(np.abs(vals - psi0.values)) < 1e-10
+        stepper.step(hat, 0.0, 1e-2, reverse=True)
+    assert np.max(np.abs(np.fft.ifftn(hat) - psi0.values)) < 1e-10
+
+
+def test_records_match_their_snapshot_fields(psi0, params):
+    # Records read K and P off the carried spectrum; recompute them, and
+    # the rest of the breakdown, from each snapshot field.
+    k0 = psi0.grid.wavenumbers[5]
+    moving = psi0.with_values(psi0.values * np.exp(1j * k0 * psi0.grid.axis))
+    st0 = EvolutionState(moving, 0.0, "conformal", params)
+    taus = (0.0, 0.3, 0.6, 0.9)
+    traj = evolve(st0, 0.9, EvolveControls(dt_base=1e-2, c_adapt=0.02, cadence=3,
+                                           snapshot_clocks=taus))
+    snap_records = [r for r in traj.records if r.snapshot is not None]
+    assert [r.clock for r in snap_records] == list(taus)
+    for r in snap_records:
+        b = breakdown(r.snapshot, params)
+        for got, want in ((r.kinetic, b.kinetic), (r.nq, b.nq), (r.np, b.np),
+                          (r.energy, b.total), (r.mass, b.mass)):
+            assert got == pytest.approx(want, rel=1e-12)
+        mom = spectral.momentum(r.snapshot)
+        assert abs(mom[0]) > 0.1
+        assert r.momentum == pytest.approx(mom, rel=1e-12)
+
+
+def test_record_cadence_does_not_change_the_trajectory(psi0, params):
+    st0 = EvolutionState(psi0, 0.0, "conformal", params)
+    taus = (0.4, 0.8)
+
+    def snaps(cadence):
+        ctl = EvolveControls(dt_base=1e-2, c_adapt=0.02, cadence=cadence, snapshot_clocks=taus)
+        return [f.values for _, f in evolve(st0, 0.8, ctl).snapshots()]
+
+    for a, b in zip(snaps(1), snaps(7), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_fft_budget(psi0, params, monkeypatch):
+    # 1 transform of the initial state, 2 a step, 1 a record after it.
+    counts = {"fft": 0, "step": 0}
+    for name in ("fftn", "ifftn"):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _transform=transform, **kwargs):
+            counts["fft"] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    step = StrangStepper.step
+
+    def counted_step(*args, **kwargs):
+        counts["step"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(StrangStepper, "step", counted_step)
+    st0 = EvolutionState(psi0, 0.0, "physical", params)
+    for cadence, records in ((1, 21), (7, 4)):
+        counts.update(fft=0, step=0)
+        traj = evolve(st0, 0.2, EvolveControls(dt_base=1e-2, cadence=cadence))
+        assert counts["step"] == 20
+        assert len(traj.records) == records
+        assert counts["fft"] == 2 * counts["step"] + (records - 1) + 1
+
+
+def test_blowup_raises_with_the_records_before_it(params):
+    grid = Grid(d=1, n=256, L=64.0)
+    psi = spectral.normalize(
+        eval_profile(grid, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0)), 1e90
+    )
+    st0 = EvolutionState(psi, 0.0, "physical", params)
+    with np.errstate(all="ignore"), pytest.raises(EvolutionError) as exc:
+        evolve(st0, 1.0, EvolveControls(dt_base=1e-2, cadence=1))
+    assert "non-finite field at clock 0.01" in str(exc.value)
+    assert [r.clock for r in exc.value.trajectory.records] == [0.0]
 
 
 def test_strang_is_second_order(psi0, params):
