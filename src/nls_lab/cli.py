@@ -178,7 +178,6 @@ def cmd_evolve(cfg, emit):
         cadence=cfg.get("cadence", 1),
         record_A=cfg.get("A_list", ()),
         snapshot_clocks=cfg.get("snapshot_taus", ()),
-        free_flow=cfg.get("free_flow", False),
     )
     traj = evolve(state, end, controls)
     emit.write(".diagnostics.csv", traj.to_csv())
@@ -196,7 +195,6 @@ def cmd_scatter(cfg, emit):
         c_adapt=cfg.get("c_adapt", 0.01),
         cadence=cfg.get("cadence", 10),
         snapshot_clocks=taus,
-        free_flow=cfg.get("free_flow", False),
     )
     traj = evolve(state, cfg.get("tau_max", max(taus)), controls)
     report = conformal.scattering_probe(traj)

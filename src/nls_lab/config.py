@@ -14,16 +14,6 @@ from .grid import AnalyticProfile, Grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "SUBCOMMANDS", "SCATTER_SNAPSHOT_TAUS"]
 
-SUBCOMMANDS = (
-    "threshold",
-    "named-thresholds",
-    "groundstate",
-    "evolve",
-    "scatter",
-    "verify",
-    "sweep",
-)
-
 # Probe clocks of `scatter` when the config sets no snapshot_taus.
 SCATTER_SNAPSHOT_TAUS = (0.9, 0.95, 0.99, 0.995, 0.999)
 
@@ -57,7 +47,6 @@ _SCHEMA = {
     "q": (float, "defocusing exponent"),
     "p": (float, "focusing exponent"),
     "profile": (str, "gaussian or sech"),
-    "amplitude": (float, "profile amplitude"),
     "width": (float, "profile width"),
     "chirp": (float, "quadratic phase coefficient"),
     "center": (_parse_floats, "profile center offset"),
@@ -70,7 +59,6 @@ _SCHEMA = {
     "tau_max": (float, "conformal end time"),
     "snapshot_taus": (_parse_floats, "snapshot clocks"),
     "snapshots": (_parse_bool, "write binary field snapshots"),
-    "free_flow": (_parse_bool, "drop the nonlinearity (test hook)"),
     "coeffs.alpha": (float, "kinetic weight"),
     "coeffs.beta": (float, "defocusing weight"),
     "coeffs.gamma": (float, "focusing weight"),
@@ -86,15 +74,32 @@ _SCHEMA = {
     "sweep.p_count": (int, "sweep grid size in p"),
 }
 
-_REQUIRED = {
-    "threshold": ("d", "q", "p", "coeffs.alpha", "coeffs.beta", "coeffs.gamma"),
-    "named-thresholds": ("d", "q", "p"),
-    "groundstate": ("d", "q", "p", "rho"),
-    "evolve": ("model", "d", "n", "L", "q", "p", "profile", "rho"),
-    "scatter": ("d", "n", "L", "q", "p", "profile", "rho"),
-    "verify": (),
-    "sweep": ("d",),
+_COEFFS = ("coeffs.alpha", "coeffs.beta", "coeffs.gamma")
+_FLOW = ("max_iters", "flow_dt", "residual_tol")
+_EVOLUTION = ("width", "chirp", "center", "dt_base", "c_adapt", "cadence", "snapshot_taus")
+
+# subcommand -> (required keys, optional keys): the keys its handler in
+# cli.py reads.  out_prefix is accepted everywhere; any other key is an error.
+_KEYS = {
+    "threshold": (("d", "q", "p", *_COEFFS), ("bracket_tol", "seed", *_FLOW)),
+    "named-thresholds": (("d", "q", "p"), ("bracket_tol", "A_grid", "eps_grid", *_FLOW)),
+    "groundstate": (("d", "q", "p", "rho"), ("n", "L", *_COEFFS, *_FLOW)),
+    "evolve": (
+        ("model", "d", "n", "L", "q", "p", "profile", "rho"),
+        (*_EVOLUTION, "A_list", "snapshots", "t_max", "tau_max"),
+    ),
+    "scatter": (("d", "n", "L", "q", "p", "profile", "rho"), (*_EVOLUTION, "tau_max")),
+    "verify": ((), ("d", "q", "p", "n", "L")),
+    "sweep": (("d",), ("sweep.q_count", "sweep.p_count")),
 }
+# An evolve's model decides its clock key, and only a conformal one reads c_adapt.
+_EVOLVE_MODELS = {"physical": ("t_max", {"tau_max", "c_adapt"}), "conformal": ("tau_max", {"t_max"})}
+
+SUBCOMMANDS = tuple(_KEYS)
+
+
+def _regime(subcommand):
+    return "scattering" if subcommand in ("scatter", "named-thresholds") else "variational"
 
 
 @dataclass
@@ -106,36 +111,26 @@ class RunConfig:
         return self.values.get(key, default)
 
     def model_params(self):
-        regime = "scattering" if self.subcommand in ("scatter", "named-thresholds") else "variational"
         return ModelParams(
-            d=self.get("d", 1), q=self.get("q", 4.0), p=self.get("p", 4.5), regime=regime
+            d=self.get("d", 1), q=self.get("q", 4.0), p=self.get("p", 4.5), regime=_regime(self.subcommand)
         )
 
     def grid(self):
         return Grid(d=self.get("d", 1), n=self.get("n", 512), L=self.get("L", 64.0))
 
     def coeffs(self):
+        """The coeffs.* triple, which parse_config admits only whole, or None."""
         if "coeffs.alpha" not in self.values:
             return None
-        return CoeffTriple(
-            self.values["coeffs.alpha"],
-            self.values["coeffs.beta"],
-            self.values["coeffs.gamma"],
-        )
+        return CoeffTriple(*(self.values[k] for k in _COEFFS))
 
     def profile(self):
-        center = self.get("center", (0.0,))
         return AnalyticProfile(
             kind=self.get("profile", "gaussian"),
-            amplitude=self.get("amplitude", 1.0),
             width=self.get("width", 2.0),
             chirp=self.get("chirp", 0.0),
-            center=center,
+            center=self.get("center", (0.0,)),
         )
-
-
-def _scattering_needed(subcommand):
-    return subcommand in ("scatter", "named-thresholds")
 
 
 def parse_config(text, subcommand):
@@ -163,9 +158,22 @@ def parse_config(text, subcommand):
         except (ValueError, TypeError):
             errors.append(f"{key}: cannot parse {val!r} as {desc}")
 
-    for key in _REQUIRED[subcommand]:
+    required, optional = _KEYS[subcommand]
+    reader = subcommand
+    if subcommand == "evolve" and values.get("model") in _EVOLVE_MODELS:
+        reader = f"a {values['model']}-model evolve"
+        clock, unread = _EVOLVE_MODELS[values["model"]]
+        required, optional = (*required, clock), set(optional) - unread
+    for key in required:
         if key not in values:
-            errors.append(f"{key}: required for {subcommand}")
+            errors.append(f"{key}: required for {reader}")
+    read = {*required, *optional, "out_prefix"}
+    errors += [f"{key}: not read by {reader}" for key in values if key not in read]
+    values = {k: v for k, v in values.items() if k in read}
+    # The coeffs triple is all or none.
+    given = " and ".join(k for k in _COEFFS if k in values)
+    if given:
+        errors += [f"{k}: required with {given}" for k in _COEFFS if k not in values and k not in required]
 
     def check(key, ok, msg):
         if key in values and not ok(values[key]):
@@ -176,7 +184,6 @@ def parse_config(text, subcommand):
     check("n", lambda v: v >= 8 and (v & (v - 1)) == 0, "must be a power of two >= 8")
     check("L", lambda v: v > 0, "must be positive")
     check("profile", lambda v: v in ("gaussian", "sech"), "must be gaussian or sech")
-    check("amplitude", lambda v: v > 0, "must be positive")
     check("width", lambda v: v > 0, "must be positive")
     check("rho", lambda v: v > 0, "must be positive")
     check("dt_base", lambda v: v > 0, "must be positive")
@@ -194,22 +201,18 @@ def parse_config(text, subcommand):
     check("sweep.q_count", lambda v: v >= 2, "must be >= 2")
     check("sweep.p_count", lambda v: v >= 2, "must be >= 2")
 
-    d = values.get("d", 1)
+    d = values["d"] if values.get("d") in (1, 2, 3) else 1  # a bad d is reported above
+    check("center", lambda v: len(v) in (1, d), f"must have 1 or d = {d} components")
     q = values.get("q")
     p = values.get("p")
     hi = 1 + 4 / d
-    lo = 1 + 2 / d if _scattering_needed(subcommand) else 1.0
+    regime = _regime(subcommand)
+    lo = 1 + 2 / d if regime == "scattering" else 1.0
     if q is not None and not lo < q < hi:
-        kind = "scattering" if _scattering_needed(subcommand) else "variational"
-        errors.append(f"q: {kind} regime requires {lo} < q < {hi} strictly (got {q})")
+        errors.append(f"q: {regime} regime requires {lo} < q < {hi} strictly (got {q})")
     if q is not None and p is not None and not q < p < hi:
         errors.append(f"p: requires q < p < {hi} (got {p})")
 
-    model = values.get("model")
-    if subcommand == "evolve" and model == "physical" and "t_max" not in values:
-        errors.append("t_max: required for a physical-model evolve")
-    if subcommand == "evolve" and model == "conformal" and "tau_max" not in values:
-        errors.append("tau_max: required for a conformal-model evolve")
     if subcommand == "scatter" and "tau_max" in values:
         taus = values.get("snapshot_taus", SCATTER_SNAPSHOT_TAUS)
         late = [t for t in taus if t > values["tau_max"]]

@@ -46,6 +46,8 @@ __all__ = [
     "aqp_condition_holds",
 ]
 
+TRUNCATION_THRESHOLD = 1e-6
+
 
 class EvolutionError(RuntimeError):
     """Step failure; carries the trajectory up to the last healthy record."""
@@ -167,6 +169,10 @@ class DiagRecord:
 
 @dataclass
 class EvolveControls:
+    """Step and record controls of evolve.  A record is sound while its
+    spectral truncation fraction is below the module constant
+    TRUNCATION_THRESHOLD, which is not a control."""
+
     dt_base: float = 1e-2
     c_adapt: float = 0.01
     adaptive: bool = True
@@ -174,7 +180,6 @@ class EvolveControls:
     record_A: tuple = ()
     snapshot_clocks: tuple = ()
     free_flow: bool = False
-    truncation_threshold: float = 1e-6
 
     def __post_init__(self):
         if self.dt_base <= 0 or self.c_adapt <= 0 or self.cadence < 1:
@@ -246,7 +251,7 @@ def _record(state, hat, controls, want_snapshot):
     for a in controls.record_A:
         e_mod[a] = modified_energy_terms(tau, b, a, state.params)
         r_mod[a] = correction_energy_terms(tau, b, a, state.params)
-    sound = spectral.truncation_fraction(state.field) < controls.truncation_threshold
+    sound = spectral.truncation_fraction(state.field) < TRUNCATION_THRESHOLD
     return DiagRecord(
         clock=state.clock,
         mass=b.mass,

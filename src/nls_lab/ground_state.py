@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 DEFAULT_BRACKET = (0.05, 5.0)
+# A probe's seed widths, and the zero-branch stopping tests of a flow (see FlowOptions).
+SEED_WIDTHS = (1.0, 3.0, 8.0)
+SPREAD_FACTOR = 4.0
+STALL_WINDOW = 60
+STALL_FACTOR = 0.999
 
 
 def default_grid(d=1):
@@ -108,7 +113,12 @@ class FlowOptions:
     part of the energy gradient, exact spectral decay e^{-2 alpha dt k^2}
     for the -2 alpha Lap part, then renormalization to mass rho^2.  The
     step halves whenever the energy increases.  The flow stops once the
-    absolute residual ||E'(u) - mu u||_2 falls below residual_tol.
+    absolute residual ||E'(u) - mu u||_2 falls below residual_tol, or on
+    a zero-branch signature at near-zero energy: the rms width has grown
+    SPREAD_FACTOR-fold (capped at L/5), or the last STALL_WINDOW accepted
+    steps took less than 1 - STALL_FACTOR of the energy's total drop.
+    These, and the Gaussian seed widths SEED_WIDTHS of a probe, are
+    module constants, not options.
 
     polish=True continues past certified negativity toward the actual
     minimizer with a Sobolev-preconditioned projected gradient (_polish),
@@ -125,10 +135,6 @@ class FlowOptions:
     max_iters: int = 3000
     dt: float = 0.05
     residual_tol: float = 1e-8
-    stall_window: int = 60
-    stall_factor: float = 0.999
-    seed_widths: tuple = (1.0, 3.0, 8.0)
-    spread_factor: float = 4.0
     polish: bool = False
 
     def __post_init__(self):
@@ -379,7 +385,7 @@ def _start_row(params, grid, coeffs, rho, seed, opts):
     width0 = spectral.rms_width(field)
     # The box caps the rms width near L/sqrt(12), so the 4x growth target
     # saturates at a box fraction for wide seeds.
-    spread_target = min(opts.spread_factor * width0, grid.L / 5)
+    spread_target = min(SPREAD_FACTOR * width0, grid.L / 5)
     # On the zero branch the flow diffuses toward the box-filling state,
     # whose energy is a small positive kinetic scale, not below tol_neg;
     # accept energies up to that scale as the zero-infimum signature.
@@ -420,13 +426,12 @@ def _checkpoint(s, c, vals, grid, params, opts):
         & (energy < s.tol_spread[c])
         & (_rms_width(vals.real**2 + vals.imag**2, grid) >= s.spread_target[c])
     )
-    w = opts.stall_window
-    recent_drop = s.history[c, np.maximum(s.count[c] - w, 0)] - energy
+    recent_drop = s.history[c, np.maximum(s.count[c] - STALL_WINDOW, 0)] - energy
     scale = np.maximum(np.abs(s.history[c, 0] - energy), s.tol_neg[c])
     stall = (
-        (s.count[c] > w)
+        (s.count[c] > STALL_WINDOW)
         & (np.abs(energy) < s.tol_spread[c])
-        & (recent_drop < (1 - opts.stall_factor) * scale)
+        & (recent_drop < (1 - STALL_FACTOR) * scale)
     )
     return (s.residual[c] < opts.residual_tol) | spread | stall
 
@@ -586,8 +591,6 @@ def _verdict(rho, results):
     classes = [r.classification for r in results]
     if "converged_negative" in classes:
         verdict = "negative"
-    elif all(c == "spread_to_zero_energy" for c in classes):
-        verdict = "zero"
     elif all(
         c == "spread_to_zero_energy"
         or (c == "budget_exhausted" and r.energy > -r.tol_neg and r.width_ratio >= 2)
@@ -609,14 +612,14 @@ def _probes(params, grid, asks, opts):
     jitter from its own rng, in seed order."""
     coeffs, rhos, seeds = [], [], []
     for c, rho, rng in asks:
-        for w in opts.seed_widths:
+        for w in SEED_WIDTHS:
             if rng is not None:
                 w = w * float(rng.uniform(0.95, 1.05))
             coeffs.append(c)
             rhos.append(rho)
             seeds.append(AnalyticProfile(kind="gaussian", amplitude=1.0, width=w))
     results = _flow_rows(params, grid, coeffs, rhos, seeds, opts)
-    k = len(opts.seed_widths)
+    k = len(SEED_WIDTHS)
     return [_verdict(rho, results[i * k:(i + 1) * k]) for i, (_, rho, _) in enumerate(asks)]
 
 

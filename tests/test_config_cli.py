@@ -40,12 +40,13 @@ def test_parse_valid_config():
 
 
 def test_parse_collects_all_violations():
-    bad = "model = orbital\nn = 7\nwobble = 3\nq = not-a-number\nepsilon = 0.5\n"
+    bad = "model = orbital\nn = 7\nwobble = 3\nq = not-a-number\nepsilon = 0.5\nd = 0\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(bad, "evolve")
     msgs = exc.value.errors
     assert any("model" in m for m in msgs)
     assert any("n:" in m for m in msgs)
+    assert "d: must be 1, 2 or 3 (got 0)" in msgs
     assert any("wobble" in m for m in msgs)
     assert "epsilon: unknown key" in msgs
     assert any("q:" in m for m in msgs)
@@ -266,3 +267,66 @@ def test_cli_named_thresholds_run(tmp_path):
     for name, digest in man["checksums"].items():
         payload = open(str(tmp_path / name), "rb").read()
         assert hashlib.sha256(payload).hexdigest() == digest
+
+
+CONFORMAL_CFG = EVOLVE_CFG.replace("model = physical", "model = conformal").replace("t_max", "tau_max")
+THRESHOLD_CFG = "d = 1\nq = 4\np = 4.5\ncoeffs.alpha = 0.5\ncoeffs.beta = 0.2\ncoeffs.gamma = 0.2\n"
+NAMED_CFG = "d = 1\nq = 4\np = 4.5\n"
+UNREAD = [
+    ("named-thresholds", NAMED_CFG, "seed = 5"),
+    ("threshold", THRESHOLD_CFG, "n = 64"),
+    ("threshold", THRESHOLD_CFG, "L = 4"),
+    ("groundstate", NAMED_CFG + "rho = 0.5\n", "profile = gaussian"),
+    ("evolve", CONFORMAL_CFG, "t_max = 0.5"),
+    ("evolve", EVOLVE_CFG, "c_adapt = 0.01"),
+    ("evolve", EVOLVE_CFG, "tau_max = 0.5"),
+    ("scatter", SCATTER_CFG, "t_max = 1"),
+    ("verify", "n = 256\n", "rho = 1"),
+    ("sweep", "d = 1\n", "q = 4"),
+    ("evolve", EVOLVE_CFG, "amplitude = 3"),
+    ("scatter", SCATTER_CFG, "free_flow = true"),
+]
+
+
+@pytest.mark.parametrize("subcommand, text, key", UNREAD, ids=[f"{c}+{k.split()[0]}" for c, _, k in UNREAD])
+def test_cli_rejects_a_key_the_subcommand_does_not_read(tmp_path, capsys, subcommand, text, key):
+    name = key.split(" =")[0]
+    parse_config(text, subcommand)
+    cfg = _write(tmp_path, text + key + "\n")
+    assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{name}: not read by" in err or f"{name}: unknown key" in err
+    assert not (tmp_path / "o.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "given, missing",
+    [
+        (["coeffs.alpha"], ["coeffs.beta", "coeffs.gamma"]),
+        (["coeffs.beta"], ["coeffs.alpha", "coeffs.gamma"]),
+        (["coeffs.alpha", "coeffs.gamma"], ["coeffs.beta"]),
+    ],
+)
+def test_groundstate_partial_coeffs_triple_is_a_config_error(tmp_path, capsys, given, missing):
+    text = NAMED_CFG + "rho = 0.5\n" + "".join(f"{k} = 0.5\n" for k in given)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, "groundstate")
+    assert [m.split(":")[0] for m in exc.value.errors] == missing
+    assert all("required with coeffs." in m for m in exc.value.errors)
+    cfg = _write(tmp_path, text)
+    assert cli.main(["groundstate", "--config", cfg, "--out", str(tmp_path / "g")]) == cli.EXIT_CONFIG
+    assert missing[0] in capsys.readouterr().err
+    assert not (tmp_path / "g.manifest.json").exists()
+
+
+def test_center_needs_one_or_d_components(tmp_path, capsys):
+    cfg = _write(tmp_path, EVOLVE_CFG + "center = 0, 1\n")
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    assert "center: must have 1 or d = 1 components" in capsys.readouterr().err
+    assert not (tmp_path / "c.manifest.json").exists()
+    planar = EVOLVE_CFG.replace("d = 1", "d = 2").replace("q = 4\np = 4.5", "q = 2\np = 2.5")
+    assert parse_config(planar + "center = 1, 2\n", "evolve").profile().center == (1.0, 2.0)
+    assert parse_config(planar + "center = 1\n", "evolve").profile().center == (1.0,)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(planar + "center = 1, 2, 3\n", "evolve")
+    assert [m.split(":")[0] for m in exc.value.errors] == ["center"]
