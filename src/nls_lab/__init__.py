@@ -7,14 +7,13 @@ mass spheres, threshold-mass bisection, and scattering diagnostics.
 __version__ = "0.1.0"
 
 from .functionals import CoeffTriple, ModelParams
-from .grid import AnalyticProfile, Field, Grid, eval_profile, make_grid
+from .grid import AnalyticProfile, Field, Grid, eval_profile
 
 __all__ = [
     "__version__",
     "Grid",
     "Field",
     "AnalyticProfile",
-    "make_grid",
     "eval_profile",
     "ModelParams",
     "CoeffTriple",

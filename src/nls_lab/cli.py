@@ -72,14 +72,7 @@ class Emitter:
 
 
 def _flow_options(cfg):
-    kw = {}
-    if cfg.get("max_iters") is not None:
-        kw["max_iters"] = cfg.get("max_iters")
-    if cfg.get("flow_dt") is not None:
-        kw["dt"] = cfg.get("flow_dt")
-    if cfg.get("residual_tol") is not None:
-        kw["residual_tol"] = cfg.get("residual_tol")
-    return FlowOptions(**kw)
+    return FlowOptions(**cfg.kwargs(max_iters="max_iters", dt="flow_dt", residual_tol="residual_tol"))
 
 
 def _rng(cfg):
@@ -95,7 +88,7 @@ def _threshold_json(params, coeffs, result):
         "rho_lo": result.rho_lo,
         "rho_hi": result.rho_hi,
         "rho0_est": result.rho0_est,
-        "tol_neg_rule": result.tol_neg_rule,
+        "tol_neg_rule": ground_state.TOL_NEG_RULE,
         "probes": [
             {
                 "rho": pr.rho,
@@ -113,7 +106,7 @@ def cmd_threshold(cfg, emit):
     params = cfg.model_params()
     coeffs = cfg.coeffs()
     res = ground_state.threshold_mass(
-        params, coeffs, cfg.get("bracket_tol", 0.02), _flow_options(cfg), rng=_rng(cfg)
+        params, coeffs, opts=_flow_options(cfg), rng=_rng(cfg), **cfg.kwargs(bracket_tol="bracket_tol")
     )
     emit.write(".threshold.json", json.dumps(_threshold_json(params, coeffs, res), sort_keys=True, indent=2))
     return {"threshold": all(p.sound for p in res.probes)}
@@ -121,9 +114,10 @@ def cmd_threshold(cfg, emit):
 
 def cmd_named_thresholds(cfg, emit):
     params = cfg.model_params()
-    tol = cfg.get("bracket_tol", 0.005)
     named = ground_state.named_thresholds(
-        params, tol, cfg.get("A_grid"), cfg.get("eps_grid"), _flow_options(cfg)
+        params,
+        opts=_flow_options(cfg),
+        **cfg.kwargs(bracket_tol="bracket_tol", A_grid="A_grid", eps_grid="eps_grid"),
     )
     lines = ["name,parameter,rho_lo,rho_hi,rho0_est"]
     for name, res in (("rho_E", named.rho_E), ("rho_SW", named.rho_SW), ("rho_star", named.rho_star)):
@@ -162,9 +156,13 @@ def cmd_groundstate(cfg, emit):
     return {"groundstate": res.sound}
 
 
+# EvolveControls argument -> config key, for evolve and scatter.
+_CONTROLS = dict(dt_base="dt_base", c_adapt="c_adapt", cadence="cadence", snapshot_clocks="snapshot_taus")
+
+
 def _initial_state(cfg, model):
     field = eval_profile(cfg.grid(), cfg.profile())
-    field = spectral.normalize(field, cfg.get("rho", 1.0))
+    field = spectral.normalize(field, cfg.get("rho"))
     return EvolutionState(field=field, clock=0.0, model=model, params=cfg.model_params())
 
 
@@ -172,13 +170,7 @@ def cmd_evolve(cfg, emit):
     model = cfg.get("model")
     state = _initial_state(cfg, model)
     end = cfg.get("t_max") if model == "physical" else cfg.get("tau_max")
-    controls = EvolveControls(
-        dt_base=cfg.get("dt_base", 1e-2),
-        c_adapt=cfg.get("c_adapt", 0.01),
-        cadence=cfg.get("cadence", 1),
-        record_A=cfg.get("A_list", ()),
-        snapshot_clocks=cfg.get("snapshot_taus", ()),
-    )
+    controls = EvolveControls(**cfg.kwargs(**_CONTROLS, record_A="A_list"))
     traj = evolve(state, end, controls)
     emit.write(".diagnostics.csv", traj.to_csv())
     if cfg.get("snapshots", False):
@@ -189,14 +181,11 @@ def cmd_evolve(cfg, emit):
 
 def cmd_scatter(cfg, emit):
     state = _initial_state(cfg, "conformal")
-    taus = cfg.get("snapshot_taus", SCATTER_SNAPSHOT_TAUS)
-    controls = EvolveControls(
-        dt_base=cfg.get("dt_base", 1e-2),
-        c_adapt=cfg.get("c_adapt", 0.01),
-        cadence=cfg.get("cadence", 10),
-        snapshot_clocks=taus,
-    )
-    traj = evolve(state, cfg.get("tau_max", max(taus)), controls)
+    # Unlike evolve, scatter records every 10th step and probes at
+    # SCATTER_SNAPSHOT_TAUS unless the config sets cadence or snapshot_taus.
+    kw = {"cadence": 10, "snapshot_clocks": SCATTER_SNAPSHOT_TAUS} | cfg.kwargs(**_CONTROLS)
+    controls = EvolveControls(**kw)
+    traj = evolve(state, cfg.get("tau_max", max(controls.snapshot_clocks)), controls)
     report = conformal.scattering_probe(traj)
     emit.write(
         ".scatter.json",
@@ -266,7 +255,7 @@ class VerifyFailure(RuntimeError):
 
 def cmd_sweep(cfg, emit):
     """Closed-form ordering sweep over an admissible (q, p) grid."""
-    d = cfg.get("d", 1)
+    d = cfg.get("d")
     nq_pts = cfg.get("sweep.q_count", 10)
     np_pts = cfg.get("sweep.p_count", 10)
     lo, hi = 1 + 2 / d, 1 + 4 / d
@@ -296,6 +285,31 @@ _HANDLERS = {
 }
 
 
+# The exit code of each failure; the first matching entry wins, so each
+# typed error precedes the ValueError or RuntimeError it subclasses.
+_EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (BracketingError, EXIT_BRACKETING),
+    (EvolutionError, EXIT_EVOLUTION),
+    (AliasingError, EXIT_ALIASING),
+    (VerifyFailure, EXIT_VERIFY),
+    (ValueError, EXIT_OTHER),
+    (RuntimeError, EXIT_OTHER),
+    (OSError, EXIT_OTHER),
+)
+
+
+def _setup(args):
+    """The run's config and Emitter.  A config file that cannot be read,
+    or an output prefix whose directory cannot be made, is a ConfigError."""
+    try:
+        with open(args.config) as f:
+            cfg = parse_config(f.read(), args.subcommand)
+        return cfg, Emitter(args.out or cfg.get("out_prefix") or "nls-lab-run")
+    except OSError as exc:
+        raise ConfigError([str(exc)]) from exc
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="nls-lab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -308,37 +322,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as f:
-            text = f.read()
-        cfg = parse_config(text, args.subcommand)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    prefix = args.out or cfg.get("out_prefix") or "nls-lab-run"
-    emit = Emitter(prefix)
-    started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    try:
+        cfg, emit = _setup(args)
+        started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
         sound = _HANDLERS[args.subcommand](cfg, emit)
-    except BracketingError as exc:
+        emit.manifest(cfg, started, sound)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BRACKETING
-    except EvolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVOLUTION
-    except AliasingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALIASING
-    except VerifyFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
-    emit.manifest(cfg, started, sound)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return EXIT_OK
 
 

@@ -110,6 +110,11 @@ class RunConfig:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
+    def kwargs(self, **keys):
+        """{argument: value of key} for each argument=key whose key this
+        config sets, so an unset key leaves the callee's default."""
+        return {arg: self.values[key] for arg, key in keys.items() if key in self.values}
+
     def model_params(self):
         return ModelParams(
             d=self.get("d", 1), q=self.get("q", 4.0), p=self.get("p", 4.5), regime=_regime(self.subcommand)
@@ -126,7 +131,7 @@ class RunConfig:
 
     def profile(self):
         return AnalyticProfile(
-            kind=self.get("profile", "gaussian"),
+            kind=self.get("profile"),
             width=self.get("width", 2.0),
             chirp=self.get("chirp", 0.0),
             center=self.get("center", (0.0,)),

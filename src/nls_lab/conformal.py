@@ -109,21 +109,19 @@ class NormIdentityReport:
     lr: float
     variance: float
     gradient: float
-    r: float
 
     def max_residual(self):
         return max(self.l2, self.lr, self.variance, self.gradient)
 
 
-def verify_norm_identities(pair, r=None):
-    """Check, at relative precision:
+def verify_norm_identities(pair):
+    """Check, at relative precision and with r = 4:
       ||phi||_2 = ||psi||_2
       ||phi||_r^r = (1+t)^{-d + dr/2} ||psi||_r^r
       || |xi| phi ||_2 = (1+t)^{-1} || |x| psi ||_2
       ||grad phi||_2 = ||J(1+t) psi||_2
     """
-    if r is None:
-        r = 4.0
+    r = 4.0
     s = 1.0 + pair.t
     d = pair.psi.grid.d
 
@@ -143,12 +141,15 @@ def verify_norm_identities(pair, r=None):
     jn = j_norm(pair.psi, pair.t)
     res_grad = abs(grad_phi - jn) / jn
 
-    return NormIdentityReport(l2=res_l2, lr=res_lr, variance=res_var, gradient=res_grad, r=r)
+    return NormIdentityReport(l2=res_l2, lr=res_lr, variance=res_var, gradient=res_grad)
 
 
 def free_propagate(field, t):
-    """U(t) = e^{i t Lap}; any sign of t (U(-tau) back-propagates)."""
-    return spectral.free_multiplier(field, t)
+    """U(t) = e^{i t Lap}, the multiplier exp(-i |k|^2 t) applied in
+    Fourier space; any sign of t (U(-tau) back-propagates)."""
+    hat = np.fft.fftn(field.values)
+    hat *= np.exp(-1j * field.grid.k_sq * t)
+    return field.with_values(np.fft.ifftn(hat))
 
 
 @dataclass
@@ -156,9 +157,10 @@ class ScatterReport:
     """Cauchy diagnostics of U(-tau) phi(tau) along a conformal run.
 
     verdict: 'scattering_consistent' when consecutive residuals decrease
-    toward the finest pair and the finest one is below tol; 'violated'
-    when the finest residual is large or residuals grow; otherwise
-    'inconclusive' (numerics cannot certify the limit).
+    toward the finest pair and the finest one is below tol, 1e-3 times
+    the initial ||phi||_2; 'violated' when the finest residual is large
+    or residuals grow; otherwise 'inconclusive' (numerics cannot certify
+    the limit).
     """
 
     taus: np.ndarray
@@ -169,7 +171,7 @@ class ScatterReport:
     psi_plus: Field | None
 
 
-def scattering_probe(trajectory, tol_scatter=None):
+def scattering_probe(trajectory):
     snaps = trajectory.snapshots()
     if len(snaps) < 2:
         raise ValueError("scattering probe needs at least two snapshots")
@@ -177,8 +179,7 @@ def scattering_probe(trajectory, tol_scatter=None):
     if not np.all(np.diff(taus) > 0):
         raise ValueError("snapshots must be at increasing tau")
 
-    phi0_l2 = np.sqrt(trajectory.records[0].mass)
-    tol = 1e-3 * phi0_l2 if tol_scatter is None else tol_scatter
+    tol = 1e-3 * np.sqrt(trajectory.records[0].mass)
 
     back = [free_propagate(f, -t) for t, f in snaps]
     m = len(back)

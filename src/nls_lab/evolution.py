@@ -52,7 +52,7 @@ TRUNCATION_THRESHOLD = 1e-6
 class EvolutionError(RuntimeError):
     """Step failure; carries the trajectory up to the last healthy record."""
 
-    def __init__(self, message, trajectory=None):
+    def __init__(self, message, trajectory):
         super().__init__(message)
         self.trajectory = trajectory
 
@@ -219,14 +219,14 @@ class Trajectory:
     def snapshots(self):
         return [(r.clock, r.snapshot) for r in self.records if r.snapshot is not None]
 
-    def to_csv(self, coeffs_note=""):
+    def to_csv(self):
         """Diagnostics CSV: fixed column order tau, mass, K, nq, np, E,
         E_A, R_A (first configured A), with a metadata header."""
         p = self.params
         a0 = self.record_A[0] if self.record_A else None
         buf = io.StringIO()
         buf.write(f"# model={self.model} d={p.d} q={p.q!r} p={p.p!r} A={a0!r}\n")
-        buf.write("# coeffs=(1/2, 1/(q+1), 1/(p+1)) " + coeffs_note + "\n")
+        buf.write("# coeffs=(1/2, 1/(q+1), 1/(p+1)) \n")
         buf.write(f"# momentum_convention={spectral.MOMENTUM_CONVENTION}\n")
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["tau", "mass", "K", "nq", "np", "E", "E_A", "R_A"])

@@ -18,7 +18,6 @@ __all__ = [
     "ModelParams",
     "CoeffTriple",
     "EnergyBreakdown",
-    "delta_exponents",
     "breakdown",
     "energy_coeffs",
     "pohozaev",
@@ -65,11 +64,6 @@ class ModelParams:
     @property
     def delta_p(self):
         return (4 - self.d * (self.p - 1)) / 2
-
-
-def delta_exponents(params):
-    """(delta(q), delta(p)); both in (0, 2) with delta(p) < delta(q)."""
-    return params.delta_q, params.delta_p
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Periodic-box discretization, complex fields, and analytic seed profiles."""
 
 import io
-import json
 import struct
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -14,12 +13,9 @@ __all__ = [
     "Field",
     "AnalyticProfile",
     "ResolutionWarning",
-    "make_grid",
     "eval_profile",
     "field_to_bytes",
     "field_from_bytes",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
@@ -116,10 +112,6 @@ class Grid:
         for k in self.k_mesh:
             inside = inside & (np.abs(k) <= np.pi * self.n / (2 * self.L))
         return inside
-
-
-def make_grid(d, n, L):
-    return Grid(d=int(d), n=int(n), L=float(L))
 
 
 @dataclass
@@ -242,22 +234,4 @@ def field_from_bytes(data):
     if inter.size != 2 * grid.size:
         raise ValueError("payload size does not match header")
     vals = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-    return Field(grid, vals)
-
-
-def field_to_json(field):
-    g = field.grid
-    if g.size > 4096:
-        raise ValueError("JSON field serialization is for small grids only")
-    flat = field.values.ravel()
-    return json.dumps(
-        {"d": g.d, "n": g.n, "L": g.L, "re": flat.real.tolist(), "im": flat.imag.tolist()},
-        sort_keys=True,
-    )
-
-
-def field_from_json(text):
-    doc = json.loads(text)
-    grid = Grid(d=doc["d"], n=doc["n"], L=doc["L"])
-    vals = (np.array(doc["re"]) + 1j * np.array(doc["im"])).reshape(grid.shape)
     return Field(grid, vals)

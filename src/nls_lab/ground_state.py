@@ -55,15 +55,18 @@ SEED_WIDTHS = (1.0, 3.0, 8.0)
 SPREAD_FACTOR = 4.0
 STALL_WINDOW = 60
 STALL_FACTOR = 0.999
+# A flow's negativity tolerance tol_neg at mass rho^2 (_start_row), as
+# .threshold.json records it.
+TOL_NEG_RULE = "1e-6 * rho**2"
 
 
-def default_grid(d=1):
+def default_grid(d):
     """The minimization default: n=512, L=64 in d dimensions.
 
-    minimize_on_sphere and probe use it in params.d dimensions when no
-    grid is given, except a polished minimization, which scales this box
-    to its seed's dilation minimizer (_dilation_fit); threshold_mass
-    always uses it.
+    minimize_on_sphere uses it in params.d dimensions when no grid is
+    given, except a polished minimization, which scales this box to its
+    seed's dilation minimizer (_dilation_fit); probe and threshold_mass
+    always use it.
     """
     return Grid(d=d, n=512, L=64.0)
 
@@ -126,10 +129,10 @@ class FlowOptions:
     * |mu| rho, or a line search whose predicted decrease has fallen
     below the rounding floor of the energy, whichever comes first; the
     iterations of both phases count against max_iters.  Without a grid, a
-    polished minimization runs on default_grid() scaled to the width of
-    its seed's dilation minimizer (_dilation_fit), so the box follows the
-    minimizer's scale; the result's sound flag reports a minimizer that
-    box still does not resolve.
+    polished minimization runs on default_grid(params.d) scaled to the
+    width of its seed's dilation minimizer (_dilation_fit), so the box
+    follows the minimizer's scale; the result's sound flag reports a
+    minimizer that box still does not resolve.
     """
 
     max_iters: int = 3000
@@ -210,12 +213,12 @@ def _dilation_fit(params, coeffs, rho, seed):
     E(s) = alpha K / s^2 + beta nq s^{-d(q-1)/2} - gamma np s^{-d(p-1)/2},
     closed-form in the raw integrals of one breakdown.  When E(s) has a
     negative minimum at s*, the seed is dilated to it and the box spans
-    default_grid().L dilated seed widths at the default n, as the default
+    default_grid(d).L dilated seed widths at the default n, as the default
     box spans a unit-width seed; otherwise default_grid(params.d) and
-    the seed are kept.
+    the seed are kept, as they are for a ground-state-snapshot seed.
     """
     base = default_grid(params.d)
-    if not isinstance(seed, AnalyticProfile) or seed.kind == "ground-state-snapshot":
+    if seed.kind == "ground-state-snapshot":
         return base, seed
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -270,7 +273,7 @@ class _Rows:
 def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
     """Run one normalized gradient flow per row, all rows in lockstep.
 
-    Row i flows seeds[i] (an AnalyticProfile, or a Field on grid) at mass
+    Row i flows seeds[i], an AnalyticProfile sampled on grid, at mass
     rhos[i]^2 under the triple coeffs[i]; params, grid and opts are
     shared.  Each row has its own dt, energy history, truncation monitor,
     accept/reject and stopping tests (FlowOptions), and is computed with
@@ -371,16 +374,14 @@ def _step_arrays(s, rows, params, k_sq):
 
 
 def _start_row(params, grid, coeffs, rho, seed, opts):
-    """The starting state of one flow row: the seed as a Field on grid at
-    mass rho^2, and its coefficients, energy, step and the scales of its
-    stopping tests."""
+    """The starting state of one flow row: the seed profile sampled on
+    grid at mass rho^2, and its coefficients, energy, step and the scales
+    of its stopping tests."""
     if rho <= 0:
         raise ValueError(f"mass-sphere radius must be positive, got {rho}")
-    if isinstance(seed, AnalyticProfile):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            seed = eval_profile(grid, seed)
-    field = spectral.normalize(seed, rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = spectral.normalize(eval_profile(grid, seed), rho)
     tol_neg = 1e-6 * rho**2
     width0 = spectral.rms_width(field)
     # The box caps the rms width near L/sqrt(12), so the 4x growth target
@@ -623,22 +624,19 @@ def _probes(params, grid, asks, opts):
     return [_verdict(rho, results[i * k:(i + 1) * k]) for i, (_, rho, _) in enumerate(asks)]
 
 
-def probe(params, coeffs, rho, opts=None, grid=None, rng=None):
-    """Flow every seed width of opts at mass rho^2, as rows of one flow,
-    and classify the probe (ProbeResult)."""
-    if opts is None:
-        opts = FlowOptions()
-    if grid is None:
-        grid = default_grid(params.d)
-    return _probes(params, grid, [(coeffs, rho, rng)], opts)[0]
+def probe(params, coeffs, rho):
+    """Flow a Gaussian seed of each width in SEED_WIDTHS at mass rho^2,
+    as rows of one flow with the default FlowOptions on
+    default_grid(params.d), and classify the probe (ProbeResult)."""
+    return _probes(params, default_grid(params.d), [(coeffs, rho, None)], FlowOptions())[0]
 
 
 class BracketingError(RuntimeError):
     """Both bracket endpoints classify the same way; carries the probes."""
 
-    def __init__(self, message, probes=None):
+    def __init__(self, message, probes):
         super().__init__(message)
-        self.probes = probes or []
+        self.probes = probes
 
 
 @dataclass
@@ -646,7 +644,6 @@ class ThresholdResult:
     rho_lo: float
     rho_hi: float
     probes: list
-    tol_neg_rule: str = "1e-6 * rho**2"
 
     @property
     def rho0_est(self):
@@ -753,7 +750,7 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     included, moves the lower end.  A probe's soundness does not steer
     the bisection: it is recorded per probe in the result (the CLI's
     .threshold.json) and in the manifest's sound flag.  Acting on
-    unsound or unresolved probes is direction 5 of ROADMAP.md.  Each
+    unsound or unresolved probes is direction 1 of ROADMAP.md.  Each
     probe runs its seeds as rows of one flow (_flow_rows).
     """
     return _bisect_lockstep(params, [_reduced_triple(params, coeffs)], bracket_tol, opts, [rng])[0]

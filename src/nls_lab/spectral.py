@@ -32,7 +32,6 @@ __all__ = [
     "rms_width",
     "truncation_fraction",
     "spectral_tail_fraction",
-    "free_multiplier",
     "spectral_gradient",
     "eval_at_scale",
     "AliasingError",
@@ -140,14 +139,6 @@ def spectral_tail_fraction(field):
     return float(a2[~field.grid.half_nyquist_mask].sum()) / total
 
 
-def free_multiplier(field, t):
-    """exp(-i |k|^2 t) applied in Fourier space (the free group U(t))."""
-    g = field.grid
-    hat = np.fft.fftn(field.values)
-    hat *= np.exp(-1j * g.k_sq * t)
-    return field.with_values(np.fft.ifftn(hat))
-
-
 def spectral_gradient(field, axis):
     g = field.grid
     hat = np.fft.fftn(field.values)
@@ -155,8 +146,8 @@ def spectral_gradient(field, axis):
     return np.fft.ifftn(hat)
 
 
-def _bandwidth(field, tail=1e-12):
-    """Smallest |k| radius containing all but a `tail` fraction of spectral mass."""
+def _bandwidth(field):
+    """Smallest |k| radius containing all but a 1e-12 fraction of spectral mass."""
     g = field.grid
     hat = np.fft.fftn(field.values)
     a2 = (hat.real**2 + hat.imag**2).ravel()
@@ -166,7 +157,7 @@ def _bandwidth(field, tail=1e-12):
     total = cum[-1]
     if total == 0:
         return 0.0
-    idx = np.searchsorted(cum, (1.0 - tail) * total)
+    idx = np.searchsorted(cum, (1.0 - 1e-12) * total)
     idx = min(idx, k.size - 1)
     return float(k[order][idx])
 

@@ -92,6 +92,28 @@ def test_cli_missing_config_file(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+SWEEP_CFG = "d = 1\nsweep.q_count = 2\nsweep.p_count = 2\n"
+
+
+def test_cli_out_prefix_under_a_regular_file_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, SWEEP_CFG)
+    (tmp_path / "some_file").write_text("")
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "some_file" / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_artifact_write_failure_exits_1_with_one_error_line(tmp_path, capsys):
+    # A directory where the artifact goes makes its open fail, even as root.
+    cfg = _write(tmp_path, SWEEP_CFG)
+    (tmp_path / "o.sweep.csv").mkdir()
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_OTHER
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "o.manifest.json").exists()
+
+
 def test_cli_evolve_artifacts_and_manifest(tmp_path):
     cfg = _write(tmp_path, EVOLVE_CFG)
     out = str(tmp_path / "runs" / "a")

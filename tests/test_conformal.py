@@ -4,6 +4,7 @@ import pytest
 from nls_lab import conformal, spectral
 from nls_lab.evolution import EvolutionState, EvolveControls, evolve
 from nls_lab.grid import AnalyticProfile, eval_profile
+from oracles import free_gaussian
 
 
 @pytest.fixture
@@ -68,6 +69,15 @@ def test_norm_identities_on_free_flow(psi0):
         psi_t = conformal.free_propagate(psi0, t) if t else psi0
         rep = conformal.verify_norm_identities(conformal.make_pair(psi_t, t))
         assert rep.max_residual() < 1e-12
+
+
+def test_free_propagate_against_closed_form(grid512, psi0):
+    t = 0.7
+    out = conformal.free_propagate(psi0, t)
+    expect = free_gaussian(t, grid512.axis, 2.0)
+    assert np.max(np.abs(out.values - expect)) < 1e-12
+    # unitarity
+    assert spectral.mass(out) == pytest.approx(spectral.mass(psi0), rel=1e-13)
 
 
 def test_free_propagate_group_property(psi0):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nls_lab import spectral
+from nls_lab import conformal, spectral
 from nls_lab.evolution import (
     EvolutionError,
     EvolutionState,
@@ -165,12 +165,12 @@ def test_strang_is_second_order(psi0, params):
     assert 3.0 < ratio < 5.0
 
 
-def test_free_flow_matches_free_multiplier(psi0, params):
+def test_free_flow_matches_free_propagate(psi0, params):
     st0 = EvolutionState(psi0, 0.0, "physical", params)
     traj = evolve(st0, 0.5, EvolveControls(dt_base=1e-2, cadence=10**6, free_flow=True,
                                            snapshot_clocks=(0.5,)))
     _, snap = traj.snapshots()[0]
-    expect = spectral.free_multiplier(psi0, 0.5)
+    expect = conformal.free_propagate(psi0, 0.5)
     assert np.max(np.abs(snap.values - expect.values)) < 1e-11
 
 
@@ -199,7 +199,11 @@ def test_csv_layout(psi0, params):
     text = traj.to_csv()
     lines = text.splitlines()
     meta = [l for l in lines if l.startswith("#")]
-    assert any("momentum_convention" in l for l in meta)
+    assert meta == [
+        "# model=conformal d=1 q=4.0 p=4.5 A=0.75",
+        "# coeffs=(1/2, 1/(q+1), 1/(p+1)) ",
+        "# momentum_convention=Im<conj(psi), grad psi>",
+    ]
     header = [l for l in lines if not l.startswith("#")][0]
     assert header == "tau,mass,K,nq,np,E,E_A,R_A"
     first = [l for l in lines if not l.startswith("#")][1].split(",")

@@ -10,7 +10,6 @@ from nls_lab.functionals import (
     ModelParams,
     breakdown,
     correction_energy_terms,
-    delta_exponents,
     energy_coeffs,
     gn_quotient,
     modified_energy,
@@ -25,7 +24,7 @@ from nls_lab.grid import AnalyticProfile, eval_profile
 
 def test_model_params_regimes():
     p = ModelParams(d=1, q=4.0, p=4.5)
-    assert delta_exponents(p) == (0.5, 0.25)
+    assert (p.delta_q, p.delta_p) == (0.5, 0.25)
     ModelParams(d=1, q=3.5, p=4.9, regime="scattering")
     with pytest.raises(ValueError):
         ModelParams(d=1, q=4.5, p=4.0)

@@ -10,10 +10,7 @@ from nls_lab.grid import (
     ResolutionWarning,
     eval_profile,
     field_from_bytes,
-    field_from_json,
     field_to_bytes,
-    field_to_json,
-    make_grid,
 )
 
 
@@ -47,11 +44,6 @@ def test_grid_2d_meshes():
 def test_grid_validation(kwargs):
     with pytest.raises(ValueError):
         Grid(**kwargs)
-
-
-def test_make_grid_coerces_types():
-    g = make_grid(1.0, 16.0, 8)
-    assert isinstance(g.n, int) and isinstance(g.L, float)
 
 
 def test_field_rejects_shape_and_nan():
@@ -143,17 +135,6 @@ def test_binary_payload_mismatch():
     blob = field_to_bytes(Field(g, np.ones(32, dtype=complex)))
     with pytest.raises(ValueError):
         field_from_bytes(blob[:-8])
-
-
-def test_json_roundtrip_and_size_guard():
-    g = Grid(d=1, n=32, L=8.0)
-    f = Field(g, np.arange(32) * (1 + 2j))
-    back = field_from_json(field_to_json(f))
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-    big = Grid(d=2, n=128, L=8.0)
-    with pytest.raises(ValueError):
-        field_to_json(Field(big, np.zeros(big.shape, dtype=complex)))
 
 
 def test_cached_masks_match_their_definitions():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nls_lab import backend, spectral
 from nls_lab.grid import AnalyticProfile, Field, Grid, eval_profile
-from oracles import free_gaussian
 
 
 @pytest.fixture
@@ -94,16 +93,6 @@ def test_truncation_fraction(grid512):
         grid512, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0, center=(20.0,))
     )
     assert spectral.truncation_fraction(shifted) > 0.9
-
-
-def test_free_multiplier_against_closed_form(grid512):
-    f = eval_profile(grid512, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0))
-    t = 0.7
-    out = spectral.free_multiplier(f, t)
-    expect = free_gaussian(t, grid512.axis, 2.0)
-    assert np.max(np.abs(out.values - expect)) < 1e-12
-    # unitarity
-    assert spectral.mass(out) == pytest.approx(spectral.mass(f), rel=1e-13)
 
 
 def test_spectral_gradient_oracle(grid512):
