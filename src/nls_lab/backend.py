@@ -1,8 +1,10 @@
 """Pointwise numpy kernels for the hot inner loops: the nonlinear phase
 rotation of the Strang step, the gradient-flow kick, and the power sums
-behind the energy integrals.  The kick and the power sums work on the
-last axis of a complex array, so one call serves one flattened field or
-a (rows, size) batch of them.
+behind the energy integrals.  The power sums work on the last axis of a
+complex array, so one call serves one flattened field or a (rows, size)
+batch of them.  The kick works on the flow's real (rows, size) state,
+with the powers |v|^{q-1} and |v|^{p-1} the flow carries from its
+accepted state, so it takes no pow of its own.
 
 FFTs are not handled here; they stay with numpy.fft.
 """
@@ -23,15 +25,15 @@ def nonlinear_phase(values, qm1, pm1, wq, wp):
     values *= np.exp(-1j * (wq * a**qm1 - wp * a**pm1))
 
 
-def flow_kick(values, aq, ap, qm1, pm1):
-    """In place: v *= (1 - aq |v|^qm1 + ap |v|^pm1).
+def flow_kick(values, aq, ap, pq, pp):
+    """v * (1 - aq pq + ap pp), as a new array.
 
-    values is a contiguous complex array, one field per row along its
-    last axis; aq and ap are scalars or arrays that broadcast against it,
-    such as one (rows, 1) column of per-row weights.
+    values is a real array, one field per row along its last axis; pq
+    and pp are |v|^{q-1} and |v|^{p-1}, precomputed, of the same shape;
+    aq and ap are scalars or arrays that broadcast against it, such as
+    one (rows, 1) column of per-row weights.
     """
-    a = np.abs(values)
-    values *= 1.0 - aq * a**qm1 + ap * a**pm1
+    return values * (1.0 - aq * pq + ap * pp)
 
 
 def power_sums(values, e1, e2):

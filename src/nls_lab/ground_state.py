@@ -115,7 +115,10 @@ class FlowOptions:
     Semi-implicit splitting: explicit pointwise kick for the nonlinear
     part of the energy gradient, exact spectral decay e^{-2 alpha dt k^2}
     for the -2 alpha Lap part, then renormalization to mass rho^2.  The
-    step halves whenever the energy increases.  The flow stops once the
+    kick is a real factor and the decay is real and even in k, so a real
+    seed stays real: the flow steps real fields, with one real FFT pair
+    per step, and takes real seeds only.  The step halves whenever the
+    energy increases.  The flow stops once the
     absolute residual ||E'(u) - mu u||_2 falls below residual_tol, or on
     a zero-branch signature at near-zero energy: the rms width has grown
     SPREAD_FACTOR-fold (capped at L/5), or the last STALL_WINDOW accepted
@@ -170,40 +173,70 @@ class MinimizeResult:
     sound: bool
 
 
-def _fft(v, grid, inverse=False):
-    """FFT (or inverse FFT) over the grid axes of every row of v, a
-    (rows, grid.size) array of flattened fields."""
-    transform = np.fft.ifftn if inverse else np.fft.fftn
+def _rfft(v, grid, inverse=False):
+    """Real FFT over the grid axes of every row of v, a (rows, grid.size)
+    array of flattened real fields, as a (rows, half size) array of
+    flattened half-spectra (rfftn layout: the last axis keeps modes
+    0..n/2); inverse=True maps half-spectra back to real fields."""
     shape = grid.shape
     axes = tuple(range(1, grid.d + 1))
     # An explicit s (the grid shape, so nothing is cropped or padded)
     # spares numpy's per-call shape lookup.
-    return transform(v.reshape((len(v),) + shape), s=shape, axes=axes).reshape(len(v), -1)
+    if inverse:
+        half = shape[:-1] + (grid.n // 2 + 1,)
+        out = np.fft.irfftn(v.reshape((len(v),) + half), s=shape, axes=axes)
+    else:
+        out = np.fft.rfftn(v.reshape((len(v),) + shape), s=shape, axes=axes)
+    return out.reshape(len(v), -1)
 
 
-def _energy_gradient(v, grid, params, alpha, beta, gamma):
+def _half_spectrum(grid):
+    """|k|^2 on the rfftn half-spectrum of grid, flattened, and the
+    Parseval weight of each of its modes: 2 for modes 1..n/2-1 of the
+    last axis, which stand for themselves and their conjugates, and 1 for
+    its zero and Nyquist modes.  So h^d/N sum(weight |hat|^2) is the L2
+    norm squared of the real field whose half-spectrum is hat."""
+    n = grid.n
+    k_sq = grid.k_sq[..., : n // 2 + 1].reshape(-1)
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    return k_sq, np.broadcast_to(weight, grid.shape[:-1] + weight.shape).reshape(-1)
+
+
+def _powers(v, params):
+    """|v|^{q-1} and |v|^{p-1}, pointwise: with v^2 they give the
+    integrands |v|^{q+1} and |v|^{p+1}, and with v the pointwise part of
+    the energy gradient."""
+    a = np.abs(v)
+    return a ** (params.q - 1.0), a ** (params.p - 1.0)
+
+
+def _energy_gradient(v, hat, pq, pp, k_sq, grid, params, alpha, beta, gamma):
     """E'(u) = -2 alpha Lap u + (q+1) beta |u|^{q-1} u
-    - (p+1) gamma |u|^{p-1} u, evaluated spectrally/pointwise for every
-    row of v, a (rows, grid.size) array; the coefficients are scalars or
-    (rows, 1) columns."""
-    hat = _fft(v, grid)
-    lin = _fft(2.0 * alpha * grid.k_sq.reshape(-1) * hat, grid, inverse=True)
-    a2 = v.real**2 + v.imag**2
-    nl = (params.q + 1) * beta * a2 ** ((params.q - 1) / 2) * v
-    nl -= (params.p + 1) * gamma * a2 ** ((params.p - 1) / 2) * v
-    return lin + nl
+    - (p+1) gamma |u|^{p-1} u for every row of v, a (rows, grid.size)
+    real array, given its half-spectrum hat, its powers pq, pp (_powers)
+    and the half-spectrum's k_sq (_half_spectrum): one inverse FFT and no
+    pow.  The coefficients are scalars or (rows, 1) columns."""
+    lin = _rfft(2.0 * alpha * k_sq * hat, grid, inverse=True)
+    return lin + ((params.q + 1) * beta * pq - (params.p + 1) * gamma * pp) * v
+
+
+def _defect(v, g, vol):
+    """|| g - mu v ||_2 for every row of real v and g, with the projected
+    multiplier mu = <g, v> / ||v||_2^2: for g = E'(v), the constrained
+    stationarity defect."""
+    mu = (g * v).sum(-1) / (v * v).sum(-1)
+    r = g - mu[:, None] * v
+    return np.sqrt((r * r).sum(-1) * vol)
 
 
 def _residual(v, grid, params, alpha, beta, gamma):
-    """|| E'(u) - mu u ||_2 for every row of v, with the projected
-    multiplier mu = <E'(u), u> / ||u||_2^2 (the constrained stationarity
-    defect); arguments as for _energy_gradient."""
-    g = _energy_gradient(v, grid, params, alpha, beta, gamma)
-    vol = grid.cell_volume
-    m = (v.real**2 + v.imag**2).sum(-1) * vol
-    mu = (g.real * v.real + g.imag * v.imag).sum(-1) * vol / m
-    r = g - mu[:, None] * v
-    return np.sqrt((r.real**2 + r.imag**2).sum(-1) * vol)
+    """|| E'(u) - mu u ||_2 for every row of v (_defect), from scratch;
+    arguments as for _energy_gradient."""
+    pq, pp = _powers(v, params)
+    k_sq = _half_spectrum(grid)[0]
+    g = _energy_gradient(v, _rfft(v, grid), pq, pp, k_sq, grid, params, alpha, beta, gamma)
+    return _defect(v, g, grid.cell_volume)
 
 
 def _dilation_fit(params, coeffs, rho, seed):
@@ -280,15 +313,27 @@ def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
     the same floating-point operations as when it runs alone, so its
     result does not depend on the other rows.  Rows leave the array when
     they stop.  Returns one MinimizeResult per row, in order.
+
+    The state is a (rows, grid.size) float64 array; a seed must sample
+    real (_start_row).  An iteration makes one rfftn and one irfftn over
+    the grid axes and two pow calls.  The trial's kinetic term comes from
+    its decayed half-spectrum by Parseval (_half_spectrum), scaled by the
+    renormalization factor.  Its powers |v|^{q-1} and |v|^{p-1} give both
+    power sums (as pow v^2), and an accepted row carries them into its
+    next kick; a rejected row keeps its own.  The every-10-iterations
+    residual (_checkpoint) reuses that spectrum and those powers: one
+    inverse FFT and no pow.
     """
-    qm1 = params.q - 1.0
-    pm1 = params.p - 1.0
     vol = grid.cell_volume
-    k_sq = grid.k_sq.reshape(-1)
+    k_sq, weight = _half_spectrum(grid)
+    # Kinetic energy of a half-spectrum by Parseval: h^d/N sum(w k^2 |hat|^2).
+    kinetic_weight = weight * k_sq * (vol / grid.size)
     outside = np.flatnonzero(~grid.core_mask)
     starts = [_start_row(params, grid, *row, opts) for row in zip(coeffs, rhos, seeds)]
     s = _Rows(**{name: np.array([r[name] for _, r in starts], dtype=float) for name in starts[0][1]})
-    s.vals = np.stack([field.values.reshape(-1) for field, _ in starts])
+    s.vals = np.stack([vals for vals, _ in starts])
+    # |v|^{q-1} and |v|^{p-1} of each row's accepted state, for its kick.
+    s.pq, s.pp = _powers(s.vals, params)
     s.row = np.arange(len(starts))
     s.residual = np.full(len(starts), np.inf)
     s.worst = np.zeros(len(starts))
@@ -304,27 +349,29 @@ def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
     it = 0
     while it < opts.max_iters and s.row.size:
         it += 1
-        trial = s.vals.copy()
         # Explicit nonlinear kick on the energy gradient's pointwise part.
-        backend.flow_kick(trial, s.aq, s.ap, qm1, pm1)
+        trial = backend.flow_kick(s.vals, s.aq, s.ap, s.pq, s.pp)
         # Exact decay for the -2 alpha Lap part.
-        hat = _fft(trial, grid)
+        hat = _rfft(trial, grid)
         hat *= s.decay
-        trial = _fft(hat, grid, inverse=True)
+        trial = _rfft(hat, grid, inverse=True)
         # Renormalize to the sphere.
-        m = (trial.real**2 + trial.imag**2).sum(-1) * vol
+        m = (trial * trial).sum(-1) * vol
         if not 0 < m.min() < np.inf:
             raise RuntimeError(f"flow left the sphere at iteration {it}")
-        trial *= (s.rho / np.sqrt(m))[:, None]
+        scale = s.rho / np.sqrt(m)
+        trial *= scale[:, None]
 
-        # The trial's energy (breakdown(...).total, row by row) and its
-        # mass fraction outside the core box.
-        s2, sq, sp = backend.power_sums(trial, params.q + 1.0, params.p + 1.0)
-        hat = _fft(trial, grid)
-        kinetic = (k_sq * (hat.real**2 + hat.imag**2)).sum(-1) * vol / grid.size
-        energy = s.alpha * kinetic + s.beta * (sq * vol) - s.gamma * (sp * vol)
-        edge = trial.take(outside, axis=1)
-        truncation = (edge.real**2 + edge.imag**2).sum(-1) / s2
+        # The trial's energy (breakdown(...).total, row by row), its
+        # kinetic term from the decayed spectrum, and its mass fraction
+        # outside the core box.
+        pq, pp = _powers(trial, params)
+        v2 = trial * trial
+        kinetic = (kinetic_weight * (hat.real**2 + hat.imag**2)).sum(-1) * scale**2
+        sq = (pq * v2).sum(-1) * vol
+        sp = (pp * v2).sum(-1) * vol
+        energy = s.alpha * kinetic + s.beta * sq - s.gamma * sp
+        truncation = v2.take(outside, axis=1).sum(-1) / v2.sum(-1)
 
         # A step that raises the energy is undone and retried at half dt.
         reject = energy > s.energy + 1e-12 * np.maximum(1.0, np.abs(s.energy))
@@ -338,9 +385,11 @@ def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
             s.aq[reject], s.ap[reject], s.decay[reject] = _step_arrays(s, reject, params, k_sq)
             # Rejected rows keep their state; 0 leaves their monitor as it was.
             trial[reject] = s.vals[reject]
+            pq[reject] = s.pq[reject]
+            pp[reject] = s.pp[reject]
             energy[reject] = s.energy[reject]
             truncation[reject] = 0.0
-        s.vals = trial
+        s.vals, s.pq, s.pp = trial, pq, pp
         s.energy = energy
         s.history[index, s.count] = energy
         s.count += accept
@@ -348,7 +397,7 @@ def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
         if it % 10 == 0 or it == opts.max_iters:
             c = np.flatnonzero(accept & ~s.certified)
             if c.size:
-                stop[c] = _checkpoint(s, c, trial[c], grid, params, opts)
+                stop[c] = _checkpoint(s, c, hat[c] * scale[c, None], k_sq, grid, params, opts)
         if stop.any():
             done.append((it, s.take(stop)))
             s = s.take(~stop)
@@ -375,13 +424,17 @@ def _step_arrays(s, rows, params, k_sq):
 
 def _start_row(params, grid, coeffs, rho, seed, opts):
     """The starting state of one flow row: the seed profile sampled on
-    grid at mass rho^2, and its coefficients, energy, step and the scales
-    of its stopping tests."""
+    grid at mass rho^2, as a flattened real array, and its coefficients,
+    energy, step and the scales of its stopping tests.  The flow keeps a
+    real state real, and steps real rows only: a seed whose samples are
+    not real (a chirp, a complex snapshot) raises ValueError."""
     if rho <= 0:
         raise ValueError(f"mass-sphere radius must be positive, got {rho}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         field = spectral.normalize(eval_profile(grid, seed), rho)
+    if np.any(field.values.imag):
+        raise ValueError(f"the flow needs a real seed; {seed.kind} seed has complex samples")
     tol_neg = 1e-6 * rho**2
     width0 = spectral.rms_width(field)
     # The box caps the rms width near L/sqrt(12), so the 4x growth target
@@ -400,7 +453,7 @@ def _start_row(params, grid, coeffs, rho, seed, opts):
         + (params.p + 1) * coeffs.gamma * amp0 ** (params.p - 1.0)
     )
     dt = min(opts.dt, 3.0 / kick_scale) if kick_scale > 0 else opts.dt
-    return field, dict(
+    return field.values.real.reshape(-1), dict(
         alpha=coeffs.alpha,
         beta=coeffs.beta,
         gamma=coeffs.gamma,
@@ -416,16 +469,23 @@ def _start_row(params, grid, coeffs, rho, seed, opts):
     )
 
 
-def _checkpoint(s, c, vals, grid, params, opts):
-    """The every-10-iterations tests of rows c of s, just accepted with
-    values vals: store their residuals, and return which rows stop, on
-    the residual, the spreading signature or a stall."""
-    s.residual[c] = _residual(vals, grid, params, s.alpha[c, None], s.beta[c, None], s.gamma[c, None])
+def _checkpoint(s, c, hat, k_sq, grid, params, opts):
+    """The every-10-iterations tests of rows c of s, just accepted, whose
+    half-spectra are hat (k_sq as in _half_spectrum): store their
+    residuals, from that spectrum and the rows' carried powers, and
+    return which rows stop, on the residual, the spreading signature or a
+    stall."""
+    vals = s.vals[c]
+    g = _energy_gradient(
+        vals, hat, s.pq[c], s.pp[c], k_sq, grid, params,
+        s.alpha[c, None], s.beta[c, None], s.gamma[c, None],
+    )
+    s.residual[c] = _defect(vals, g, grid.cell_volume)
     energy = s.energy[c]
     spread = (
         (-s.tol_neg[c] < energy)
         & (energy < s.tol_spread[c])
-        & (_rms_width(vals.real**2 + vals.imag**2, grid) >= s.spread_target[c])
+        & (_rms_width(vals * vals, grid) >= s.spread_target[c])
     )
     recent_drop = s.history[c, np.maximum(s.count[c] - STALL_WINDOW, 0)] - energy
     scale = np.maximum(np.abs(s.history[c, 0] - energy), s.tol_neg[c])
@@ -446,7 +506,7 @@ def _rms_width(a2, grid):
 def _finish(params, grid, coeffs, rho, opts, it, rows, j):
     """The MinimizeResult of row j of rows, stopped after it iterations:
     _polish if asked, then the residual, classification and soundness."""
-    vals = rows.vals[j].reshape(grid.shape)
+    vals = rows.vals[j]
     energy = float(rows.energy[j])
     residual = float(rows.residual[j])
     certified = bool(rows.certified[j])
@@ -457,10 +517,10 @@ def _finish(params, grid, coeffs, rho, opts, it, rows, j):
             params, coeffs, rho, grid, vals, opts.residual_tol, opts.max_iters - it
         )
         it += polish_iters
-    final = Field(grid, vals)
+    final = Field(grid, vals.reshape(grid.shape))
     if certified or not np.isfinite(residual):
         residual = float(
-            _residual(vals.reshape(1, -1), grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma)[0]
+            _residual(vals[None], grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma)[0]
         )
     width0 = rows.width0[j]
     width_ratio = float(spectral.rms_width(final) / width0) if width0 > 0 else np.inf
@@ -515,36 +575,42 @@ def _polish(params, coeffs, rho, grid, vals, residual_tol, budget):
     decrease the line search predicts, tau <E'(u), d>, is below the
     rounding floor of the energy (64 eps times the sum of the term
     magnitudes), where no trial can be told apart from the current state.
-    Returns (values, energy, iterations, stopped), stopped being False
-    when the budget ran out first.
+    vals is a flattened real field, and the polish stays real: it works
+    on half-spectra, as the flow does.  Returns (values, energy,
+    iterations, stopped), stopped being False when the budget ran out
+    first.
     """
     vol = grid.cell_volume
+    k_sq, weight = _half_spectrum(grid)
 
     def dot(a, b):
-        return float((a.real * b.real + a.imag * b.imag).sum())
+        """<a, b> summed over all modes, from half-spectra a and b."""
+        return float((weight * (a.real * b.real + a.imag * b.imag)).sum())
 
     def step(u, direction, tau):
         trial = u - tau * direction
-        trial *= rho / np.sqrt(dot(trial, trial) * vol)
-        return trial, breakdown(Field(grid, trial), params, coeffs)
+        trial *= rho / np.sqrt((trial * trial).sum() * vol)
+        return trial, breakdown(Field(grid, trial.reshape(grid.shape)), params, coeffs)
 
-    b = breakdown(Field(grid, vals), params, coeffs)
+    u = vals[None]
+    b = breakdown(Field(grid, vals.reshape(grid.shape)), params, coeffs)
     tau = 1.0
     for it in range(budget):
+        u_hat = _rfft(u, grid)
+        pq, pp = _powers(u, params)
         grad = _energy_gradient(
-            vals.reshape(1, -1), grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma
-        ).reshape(grid.shape)
-        mu = dot(grad, vals) * vol / rho**2
-        r = grad - mu * vals
-        if np.sqrt(dot(r, r) * vol) <= residual_tol * abs(mu) * rho:
-            return vals, b.total, it, True
+            u, u_hat, pq, pp, k_sq, grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma
+        )
+        mu = float((grad * u).sum()) * vol / rho**2
+        r = grad - mu * u
+        if np.sqrt((r * r).sum() * vol) <= residual_tol * abs(mu) * rho:
+            return u[0], b.total, it, True
         # Precondition and project in Fourier space (Parseval).
-        u_hat = np.fft.fftn(vals)
-        g_hat = np.fft.fftn(grad)
-        inv_p = 1.0 / (abs(mu) + 2.0 * coeffs.alpha * grid.k_sq)
+        g_hat = _rfft(grad, grid)
+        inv_p = 1.0 / (abs(mu) + 2.0 * coeffs.alpha * k_sq)
         nu = dot(u_hat, inv_p * g_hat) / dot(u_hat, inv_p * u_hat)
         d_hat = inv_p * (g_hat - nu * u_hat)
-        direction = np.fft.ifftn(d_hat)
+        direction = _rfft(d_hat, grid, inverse=True)
         slope = dot(g_hat, d_hat) * vol / grid.size
         floor = 64 * np.finfo(float).eps * (
             coeffs.alpha * b.kinetic + coeffs.beta * b.nq + coeffs.gamma * b.np
@@ -552,20 +618,20 @@ def _polish(params, coeffs, rho, grid, vals, residual_tol, budget):
 
         while True:
             if tau * slope <= floor:
-                return vals, b.total, it, True
-            trial, b_trial = step(vals, direction, tau)
+                return u[0], b.total, it, True
+            trial, b_trial = step(u, direction, tau)
             # Minimizer of the quadratic through E(0), E'(0) and E(tau).
             curv = b_trial.total - b.total + tau * slope
             if curv > 0 and 0.1 < 0.5 * tau * slope / curv < 10.0:
                 tau_q = 0.5 * tau**2 * slope / curv
-                trial_q, b_q = step(vals, direction, tau_q)
+                trial_q, b_q = step(u, direction, tau_q)
                 if b_q.total < b_trial.total:
                     trial, b_trial, tau = trial_q, b_q, tau_q
             if b_trial.total <= b.total - 1e-4 * tau * slope:
                 break
             tau *= 0.5
-        vals, b = trial, b_trial
-    return vals, b.total, budget, False
+        u, b = trial, b_trial
+    return u[0], b.total, budget, False
 
 
 @dataclass

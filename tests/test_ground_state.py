@@ -88,13 +88,43 @@ def _row_key(r):
     )
 
 
+_ROWS = st.lists(
+    st.tuples(st.floats(0.3, 4.0), st.floats(0.1, 0.4), st.floats(0.6, 3.0)),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _assert_rows_match_alone(params, grid, rows, max_iters, dt, shuffle):
+    """Rows (rho, gamma, seed width) flowed as one batch, in shuffled
+    order, give bit for bit what each gives run alone, and a second run
+    of the batch gives the same results."""
+    opts = gs.FlowOptions(max_iters=max_iters, dt=dt)
+    coeffs = [CoeffTriple(0.5, 0.2, gamma) for _, gamma, _ in rows]
+    rhos = [rho for rho, _, _ in rows]
+    seeds = [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for _, _, w in rows]
+    alone = [
+        _row_key(gs._flow_rows(params, grid, [c], [rho], [seed], opts)[0])
+        for c, rho, seed in zip(coeffs, rhos, seeds)
+    ]
+    order = list(range(len(rows)))
+    shuffle.shuffle(order)
+
+    def batch():
+        res = gs._flow_rows(
+            params, grid, [coeffs[i] for i in order], [rhos[i] for i in order],
+            [seeds[i] for i in order], opts,
+        )
+        return [_row_key(r) for r in res]
+
+    first = batch()
+    assert first == [alone[i] for i in order]
+    assert batch() == first
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    rows=st.lists(
-        st.tuples(st.floats(0.3, 4.0), st.floats(0.1, 0.4), st.floats(0.6, 3.0)),
-        min_size=1,
-        max_size=5,
-    ),
+    rows=_ROWS,
     max_iters=st.integers(1, 25),
     dt=st.sampled_from([0.05, 0.5]),
     shuffle=st.randoms(use_true_random=False),
@@ -103,27 +133,71 @@ def test_flow_rows_match_each_row_run_alone(params, rows, max_iters, dt, shuffle
     """Every row of a batch, in any order and beside any other rows (mixed
     rho, gamma and seed width), gives bit for bit the result of that row
     run alone; a second run of the batch gives the same results."""
-    opts = gs.FlowOptions(max_iters=max_iters, dt=dt)
-    coeffs = [CoeffTriple(0.5, 0.2, gamma) for _, gamma, _ in rows]
-    rhos = [rho for rho, _, _ in rows]
-    seeds = [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for _, _, w in rows]
-    alone = [
-        _row_key(gs._flow_rows(params, _ROW_GRID, [c], [rho], [seed], opts)[0])
-        for c, rho, seed in zip(coeffs, rhos, seeds)
-    ]
-    order = list(range(len(rows)))
-    shuffle.shuffle(order)
+    _assert_rows_match_alone(params, _ROW_GRID, rows, max_iters, dt, shuffle)
 
-    def batch():
-        res = gs._flow_rows(
-            params, _ROW_GRID, [coeffs[i] for i in order], [rhos[i] for i in order],
-            [seeds[i] for i in order], opts,
-        )
-        return [_row_key(r) for r in res]
 
-    first = batch()
-    assert first == [alone[i] for i in order]
-    assert batch() == first
+@settings(max_examples=10, deadline=None)
+@given(
+    rows=_ROWS,
+    max_iters=st.integers(1, 25),
+    dt=st.sampled_from([0.05, 0.5]),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_flow_rows_match_each_row_run_alone_2d(rows, max_iters, dt, shuffle):
+    """The same in d=2 on a 16x16 grid, where each row's real FFT runs
+    over two grid axes of the batch."""
+    params = ModelParams(d=2, q=2.0, p=2.5)
+    _assert_rows_match_alone(params, Grid(d=2, n=16, L=16.0), rows, max_iters, dt, shuffle)
+
+
+_D1 = (ModelParams(d=1, q=4.0, p=4.5), Grid(d=1, n=512, L=64.0), 2.6)
+_D2 = (ModelParams(d=2, q=2.0, p=2.5), Grid(d=2, n=64, L=16.0), 6.0)
+
+
+@pytest.mark.parametrize(
+    "case, width, iters",
+    [(_D1, 3.0, k) for k in (1, 7, 40)]
+    + [(_D2, 3.0, k) for k in (1, 7, 40)]
+    + [(_D2, 0.25, k) for k in (1, 7)],
+)
+def test_flow_energy_is_breakdown_total(case, width, iters):
+    """The energy the flow reports, whose kinetic term it reads off the
+    decayed half-spectrum by Parseval, is the breakdown total of the
+    field it returns, after steps it accepted: the half-spectrum weights
+    count each mode once.  In d=2 the zero modes of the last axis carry
+    kinetic energy; the narrow seed puts mass on its Nyquist modes too."""
+    params, grid, rho = case
+    coeffs = gs.triple_energy(params)
+    seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=width)
+    res = gs.minimize_on_sphere(params, coeffs, rho, gs.FlowOptions(max_iters=iters), grid, seed)
+    assert res.iterations == iters
+    assert res.energy < res.initial_energy
+    assert res.energy == pytest.approx(breakdown(res.field, params, coeffs).total, rel=1e-12, abs=0)
+
+
+def test_flow_fft_budget(params, monkeypatch):
+    """A flow iteration makes one rfftn and one irfftn, and a checkpoint
+    (every 10 iterations, and at the last) one more irfftn; the one
+    complex FFT is the breakdown of the starting energy."""
+    counts = dict.fromkeys(("rfftn", "irfftn", "fftn", "ifftn"), 0)
+    for name in counts:
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            counts[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    res = gs.minimize_on_sphere(params, gs.triple_energy(params), 2.6, gs.FlowOptions(max_iters=25))
+    assert res.classification == "budget_exhausted"
+    assert counts == {"rfftn": 25, "irfftn": 25 + 3, "fftn": 1, "ifftn": 0}
+
+
+def test_flow_rejects_complex_seed(params):
+    """The flow steps real rows; a chirped seed is not real."""
+    seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=3.0, chirp=0.3)
+    with pytest.raises(ValueError, match="real seed"):
+        gs.minimize_on_sphere(params, gs.triple_energy(params), 1.0, seed=seed)
 
 
 def test_polished_minimizer_matches_soliton_quadrature(params):
