@@ -25,8 +25,9 @@ import numpy as np
 
 from . import backend, spectral
 from .functionals import (
-    breakdown,
+    EnergyBreakdown,
     correction_energy_terms,
+    energy_coeffs,
     modified_energy_terms,
 )
 from .grid import Field
@@ -243,15 +244,26 @@ class Trajectory:
 def _record(state, hat, controls, want_snapshot):
     """Diagnostics of state, whose field has the spectrum hat."""
     g = state.field.grid
+    params = state.params
     kinetic, *momentum = spectral.parseval_sums(hat, g, (g.k_sq, *g.k_mesh))
-    b = breakdown(state.field, state.params, kinetic=kinetic)
+    # One |v|^2 serves the power integrals of the breakdown and the
+    # truncation monitor.
+    v = state.field.values
+    a2 = v.real**2 + v.imag**2
+    sums = backend.abs2_power_sums(a2.ravel(), params.q + 1.0, params.p + 1.0)
+    mass, nq, npw = (float(s) * g.cell_volume for s in sums)
+    c = energy_coeffs(params)
+    b = EnergyBreakdown(
+        kinetic=kinetic, nq=nq, np=npw, mass=mass,
+        total=c.alpha * kinetic + c.beta * nq - c.gamma * npw,
+    )
     tau = state.clock if state.model == "conformal" else 0.0
     e_mod = {}
     r_mod = {}
     for a in controls.record_A:
-        e_mod[a] = modified_energy_terms(tau, b, a, state.params)
-        r_mod[a] = correction_energy_terms(tau, b, a, state.params)
-    sound = spectral.truncation_fraction(state.field) < TRUNCATION_THRESHOLD
+        e_mod[a] = modified_energy_terms(tau, b, a, params)
+        r_mod[a] = correction_energy_terms(tau, b, a, params)
+    sound = spectral.outside_fraction(a2, g) < TRUNCATION_THRESHOLD
     return DiagRecord(
         clock=state.clock,
         mass=b.mass,

@@ -10,6 +10,7 @@ by bisection on the oracle's verdict.
 
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 
@@ -302,113 +303,169 @@ class _Rows:
     def take(self, keep):
         return _Rows(**{name: a[keep] for name, a in vars(self).items()})
 
+    def join(self, other):
+        return _Rows(**{name: np.concatenate((a, vars(other)[name])) for name, a in vars(self).items()})
+
 
 def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
-    """Run one normalized gradient flow per row, all rows in lockstep.
+    """Run one normalized gradient flow per row: a _Flow batch with every
+    row admitted at the start and none later.
 
     Row i flows seeds[i], an AnalyticProfile sampled on grid, at mass
     rhos[i]^2 under the triple coeffs[i]; params, grid and opts are
-    shared.  Each row has its own dt, energy history, truncation monitor,
-    accept/reject and stopping tests (FlowOptions), and is computed with
-    the same floating-point operations as when it runs alone, so its
-    result does not depend on the other rows.  Rows leave the array when
-    they stop.  Returns one MinimizeResult per row, in order.
+    shared.  Returns one MinimizeResult per row, in order, each bit for
+    bit the result of that row run alone.
+    """
+    flow = _Flow(params, grid, opts)
+    results = [None] * len(seeds)
+    for i, row in enumerate(zip(coeffs, rhos, seeds)):
+        flow.admit(*row, partial(results.__setitem__, i))
+    flow.run()
+    return results
+
+
+class _Flow:
+    """A batch of normalized gradient flows, one per row, that admits rows
+    while it runs.
+
+    admit() queues a row; run() steps the batch until no row runs and
+    none is queued.  A queued row joins at the batch's next 10-iteration
+    boundary, or at once when no row runs, so all rows share one
+    checkpoint cadence and one _checkpoint call every 10 iterations
+    serves them all.  Each row keeps its own iteration count (its
+    checkpoints, its max_iters budget and the iterations _finish
+    reports), dt, energy history, truncation monitor, accept/reject and
+    stopping tests (FlowOptions), and is computed with the same
+    floating-point operations as when it runs alone, so its result does
+    not depend on the other rows or on when it joined.  A row leaves the
+    batch when it stops, and its MinimizeResult goes to its callback in
+    that iteration; the callback may admit more rows.
 
     The state is a (rows, grid.size) float64 array; a seed must sample
     real (_start_row).  An iteration makes one rfftn and one irfftn over
-    the grid axes and two pow calls.  The trial's kinetic term comes from
-    its decayed half-spectrum by Parseval (_half_spectrum), scaled by the
+    the grid axes and two pow calls, and takes each per-row sum in one
+    np.vecdot pass.  The trial's kinetic term comes from its decayed
+    half-spectrum by Parseval (_half_spectrum), scaled by the
     renormalization factor.  Its powers |v|^{q-1} and |v|^{p-1} give both
-    power sums (as pow v^2), and an accepted row carries them into its
+    power sums (as pow . v^2), and an accepted row carries them into its
     next kick; a rejected row keeps its own.  The every-10-iterations
     residual (_checkpoint) reuses that spectrum and those powers: one
     inverse FFT and no pow.
     """
-    vol = grid.cell_volume
-    k_sq, weight = _half_spectrum(grid)
-    # Kinetic energy of a half-spectrum by Parseval: h^d/N sum(w k^2 |hat|^2).
-    kinetic_weight = weight * k_sq * (vol / grid.size)
-    outside = np.flatnonzero(~grid.core_mask)
-    starts = [_start_row(params, grid, *row, opts) for row in zip(coeffs, rhos, seeds)]
-    s = _Rows(**{name: np.array([r[name] for _, r in starts], dtype=float) for name in starts[0][1]})
-    s.vals = np.stack([vals for vals, _ in starts])
-    # |v|^{q-1} and |v|^{p-1} of each row's accepted state, for its kick.
-    s.pq, s.pp = _powers(s.vals, params)
-    s.row = np.arange(len(starts))
-    s.residual = np.full(len(starts), np.inf)
-    s.worst = np.zeros(len(starts))
-    s.certified = np.zeros(len(starts), dtype=bool)
-    # The accepted energies of each row; count[i] of them are filled.
-    s.history = np.empty((len(starts), opts.max_iters + 1))
-    s.history[:, 0] = s.energy
-    s.count = np.ones(len(starts), dtype=int)
-    s.aq, s.ap, s.decay = _step_arrays(s, slice(None), params, k_sq)
-    done = []
-    index = np.arange(s.row.size)
 
-    it = 0
-    while it < opts.max_iters and s.row.size:
-        it += 1
-        # Explicit nonlinear kick on the energy gradient's pointwise part.
-        trial = backend.flow_kick(s.vals, s.aq, s.ap, s.pq, s.pp)
-        # Exact decay for the -2 alpha Lap part.
-        hat = _rfft(trial, grid)
-        hat *= s.decay
-        trial = _rfft(hat, grid, inverse=True)
-        # Renormalize to the sphere.
-        m = (trial * trial).sum(-1) * vol
-        if not 0 < m.min() < np.inf:
-            raise RuntimeError(f"flow left the sphere at iteration {it}")
-        scale = s.rho / np.sqrt(m)
-        trial *= scale[:, None]
+    def __init__(self, params, grid, opts):
+        self.params, self.grid, self.opts = params, grid, opts
+        self.k_sq, weight = _half_spectrum(grid)
+        # Kinetic energy of a half-spectrum by Parseval: h^d/N sum(w k^2 |hat|^2).
+        self.kinetic_weight = weight * self.k_sq * (grid.cell_volume / grid.size)
+        # The mass outside the core box, as a weight on v^2.
+        self.outside = (~grid.core_mask).reshape(-1) * grid.cell_volume
+        self.queue = []
+        # (coeffs, rho, callback) of every row admitted, indexed by row.owner.
+        self.owners = []
 
-        # The trial's energy (breakdown(...).total, row by row), its
-        # kinetic term from the decayed spectrum, and its mass fraction
-        # outside the core box.
-        pq, pp = _powers(trial, params)
-        v2 = trial * trial
-        kinetic = (kinetic_weight * (hat.real**2 + hat.imag**2)).sum(-1) * scale**2
-        sq = (pq * v2).sum(-1) * vol
-        sp = (pp * v2).sum(-1) * vol
-        energy = s.alpha * kinetic + s.beta * sq - s.gamma * sp
-        truncation = v2.take(outside, axis=1).sum(-1) / v2.sum(-1)
+    def admit(self, coeffs, rho, seed, done):
+        """Queue a row flowing seed at mass rho^2 under coeffs; done(result)
+        is called with its MinimizeResult when it stops."""
+        start = _start_row(self.params, self.grid, coeffs, rho, seed, self.opts)
+        self.queue.append((coeffs, rho, done, start))
 
-        # A step that raises the energy is undone and retried at half dt.
-        reject = energy > s.energy + 1e-12 * np.maximum(1.0, np.abs(s.energy))
-        accept = ~reject
-        # The flow is monotone, so negativity is certified for good.
-        s.certified = accept & (energy < -s.tol_neg)
-        stop = s.certified.copy()
-        if reject.any():
-            s.dt[reject] *= 0.5
-            stop = stop | (reject & (s.dt < 1e-18 * s.dt_start))
-            s.aq[reject], s.ap[reject], s.decay[reject] = _step_arrays(s, reject, params, k_sq)
-            # Rejected rows keep their state; 0 leaves their monitor as it was.
-            trial[reject] = s.vals[reject]
-            pq[reject] = s.pq[reject]
-            pp[reject] = s.pp[reject]
-            energy[reject] = s.energy[reject]
-            truncation[reject] = 0.0
-        s.vals, s.pq, s.pp = trial, pq, pp
-        s.energy = energy
-        s.history[index, s.count] = energy
-        s.count += accept
-        s.worst = np.maximum(s.worst, truncation)
-        if it % 10 == 0 or it == opts.max_iters:
-            c = np.flatnonzero(accept & ~s.certified)
-            if c.size:
-                stop[c] = _checkpoint(s, c, hat[c] * scale[c, None], k_sq, grid, params, opts)
-        if stop.any():
-            done.append((it, s.take(stop)))
-            s = s.take(~stop)
-            index = np.arange(s.row.size)
-    done.append((it, s))
+    def _join(self, s, it):
+        """s with the queued rows added, joining at batch iteration it."""
+        starts = [start for *_, start in self.queue]
+        new = _Rows(**{name: np.array([r[name] for _, r in starts], dtype=float) for name in starts[0][1]})
+        new.vals = np.stack([vals for vals, _ in starts])
+        # |v|^{q-1} and |v|^{p-1} of each row's accepted state, for its kick.
+        new.pq, new.pp = _powers(new.vals, self.params)
+        rows = len(starts)
+        new.owner = np.arange(len(self.owners), len(self.owners) + rows)
+        self.owners += [(coeffs, rho, done) for coeffs, rho, done, _ in self.queue]
+        self.queue = []
+        new.joined = np.full(rows, it)
+        new.residual = np.full(rows, np.inf)
+        new.worst = np.zeros(rows)
+        new.certified = np.zeros(rows, dtype=bool)
+        # The accepted energies of each row; count[i] of them are filled.
+        new.history = np.empty((rows, self.opts.max_iters + 1))
+        new.history[:, 0] = new.energy
+        new.count = np.ones(rows, dtype=int)
+        new.aq, new.ap, new.decay = _step_arrays(new, slice(None), self.params, self.k_sq)
+        return new if s is None else s.join(new)
 
-    results = [None] * len(starts)
-    for it, rows in done:
-        for j, i in enumerate(rows.row):
-            results[i] = _finish(params, grid, coeffs[i], rhos[i], opts, it, rows, j)
-    return results
+    def run(self):
+        """Step the batch until no row runs and none is queued."""
+        params, grid, opts = self.params, self.grid, self.opts
+        vol = grid.cell_volume
+        s, it = None, 0
+        while True:
+            if self.queue and (s is None or it % 10 == 0):
+                s = self._join(s, it)
+                index = np.arange(s.owner.size)
+            if s is None:
+                return
+            it += 1
+            # Explicit nonlinear kick on the energy gradient's pointwise part.
+            trial = backend.flow_kick(s.vals, s.aq, s.ap, s.pq, s.pp)
+            # Exact decay for the -2 alpha Lap part.
+            hat = _rfft(trial, grid)
+            hat *= s.decay
+            trial = _rfft(hat, grid, inverse=True)
+            # Renormalize to the sphere.
+            m = np.vecdot(trial, trial) * vol
+            if not 0 < m.min() < np.inf:
+                raise RuntimeError(f"flow left the sphere at iteration {it}")
+            scale = s.rho / np.sqrt(m)
+            trial *= scale[:, None]
+
+            # The trial's energy (breakdown(...).total, row by row), its
+            # kinetic term from the decayed spectrum, and its mass fraction
+            # outside the core box (its mass is rho^2).
+            pq, pp = _powers(trial, params)
+            v2 = trial * trial
+            kinetic = np.vecdot(hat, self.kinetic_weight * hat).real * scale**2
+            sq = np.vecdot(pq, v2) * vol
+            sp = np.vecdot(pp, v2) * vol
+            energy = s.alpha * kinetic + s.beta * sq - s.gamma * sp
+            truncation = np.vecdot(v2, self.outside) / s.rho**2
+
+            # A step that raises the energy is undone and retried at half dt.
+            reject = energy > s.energy + 1e-12 * np.maximum(1.0, np.abs(s.energy))
+            accept = ~reject
+            # The flow is monotone, so negativity is certified for good.
+            s.certified = accept & (energy < -s.tol_neg)
+            stop = s.certified.copy()
+            if reject.any():
+                s.dt[reject] *= 0.5
+                stop = stop | (reject & (s.dt < 1e-18 * s.dt_start))
+                s.aq[reject], s.ap[reject], s.decay[reject] = _step_arrays(s, reject, params, self.k_sq)
+                # Rejected rows keep their state; 0 leaves their monitor as it was.
+                trial[reject] = s.vals[reject]
+                pq[reject] = s.pq[reject]
+                pp[reject] = s.pp[reject]
+                energy[reject] = s.energy[reject]
+                truncation[reject] = 0.0
+            s.vals, s.pq, s.pp = trial, pq, pp
+            s.energy = energy
+            s.history[index, s.count] = energy
+            s.count += accept
+            s.worst = np.maximum(s.worst, truncation)
+            # Rows join at multiples of 10, so a row's own iteration count
+            # is one exactly when the batch's is.
+            last = s.joined == it - opts.max_iters
+            if it % 10 == 0 or last.any():
+                c = np.flatnonzero(accept & ~s.certified & (last | (it % 10 == 0)))
+                if c.size:
+                    stop[c] = _checkpoint(s, c, hat[c] * scale[c, None], self.k_sq, grid, params, opts)
+                stop |= last
+            if stop.any():
+                done = s.take(stop)
+                s = s.take(~stop)
+                index = np.arange(s.owner.size)
+                for j, owner in enumerate(done.owner):
+                    coeffs, rho, callback = self.owners[owner]
+                    callback(_finish(params, grid, coeffs, rho, opts, it - int(done.joined[j]), done, j))
+                if not s.owner.size:
+                    s, it = None, 0
 
 
 def _step_arrays(s, rows, params, k_sq):
@@ -673,28 +730,48 @@ def _verdict(rho, results):
     )
 
 
-def _probes(params, grid, asks, opts):
-    """One ProbeResult per (coeffs, rho, rng) in asks, from one _flow_rows
-    call over the seeds of every probe.  Each probe draws its seed-width
-    jitter from its own rng, in seed order."""
-    coeffs, rhos, seeds = [], [], []
-    for c, rho, rng in asks:
-        for w in SEED_WIDTHS:
-            if rng is not None:
-                w = w * float(rng.uniform(0.95, 1.05))
-            coeffs.append(c)
-            rhos.append(rho)
-            seeds.append(AnalyticProfile(kind="gaussian", amplitude=1.0, width=w))
-    results = _flow_rows(params, grid, coeffs, rhos, seeds, opts)
-    k = len(SEED_WIDTHS)
-    return [_verdict(rho, results[i * k:(i + 1) * k]) for i, (_, rho, _) in enumerate(asks)]
+def _admit_probe(flow, coeffs, rho, rng, log, decide=None):
+    """Admit the seeds of one probe at mass rho into flow (_Flow), one row
+    per width in SEED_WIDTHS, jittered by rng in seed order if given.
+
+    log gets the probe's slot now and its ProbeResult when its last seed
+    stops.  decide(verdict) is called once, as soon as the verdict is
+    known: when a seed certifies negativity, or else when the last seed
+    stops.  The other seeds of a probe decided negative flow on to their
+    own stop, so the ProbeResult in log is complete.
+    """
+    results = [None] * len(SEED_WIDTHS)
+    pending = len(SEED_WIDTHS)
+    slot = len(log)
+    log.append(None)
+    decided = decide is None
+
+    def seed_done(j, result):
+        nonlocal pending, decided
+        results[j] = result
+        pending -= 1
+        if not pending:
+            log[slot] = _verdict(rho, results)
+        if not decided and (result.classification == "converged_negative" or not pending):
+            decided = True
+            decide("negative" if result.classification == "converged_negative" else log[slot].verdict)
+
+    for j, w in enumerate(SEED_WIDTHS):
+        if rng is not None:
+            w = w * float(rng.uniform(0.95, 1.05))
+        seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=w)
+        flow.admit(coeffs, rho, seed, partial(seed_done, j))
 
 
 def probe(params, coeffs, rho):
     """Flow a Gaussian seed of each width in SEED_WIDTHS at mass rho^2,
     as rows of one flow with the default FlowOptions on
     default_grid(params.d), and classify the probe (ProbeResult)."""
-    return _probes(params, default_grid(params.d), [(coeffs, rho, None)], FlowOptions())[0]
+    flow = _Flow(params, default_grid(params.d), FlowOptions())
+    log = []
+    _admit_probe(flow, coeffs, rho, None, log)
+    flow.run()
+    return log[0]
 
 
 class BracketingError(RuntimeError):
@@ -738,62 +815,73 @@ def _reduced_triple(params, coeffs):
 
 def _bisection(bracket_tol, probes):
     """The bisection of threshold_mass, one probe at a time: yields each
-    mass to probe, is sent back its ProbeResult (which the caller has
-    appended to probes), and returns the final (rho_lo, rho_hi)."""
+    mass to probe, is sent back its verdict, and returns the final
+    (rho_lo, rho_hi).  probes is the probe log a BracketingError carries."""
     lo, hi = DEFAULT_BRACKET
-    p_lo = yield lo
+    v_lo = yield lo
     expand = 0
-    while p_lo.verdict != "zero" and expand < 7:
+    while v_lo != "zero" and expand < 7:
         lo /= 2
-        p_lo = yield lo
+        v_lo = yield lo
         expand += 1
-    p_hi = yield hi
+    v_hi = yield hi
     expand = 0
-    while p_hi.verdict != "negative" and expand < 7:
+    while v_hi != "negative" and expand < 7:
         hi *= 2
-        p_hi = yield hi
+        v_hi = yield hi
         expand += 1
-    if p_lo.verdict != "zero" or p_hi.verdict != "negative":
+    if v_lo != "zero" or v_hi != "negative":
         raise BracketingError(
             f"could not bracket the threshold in [{lo}, {hi}]: "
-            f"lo verdict {p_lo.verdict}, hi verdict {p_hi.verdict}",
+            f"lo verdict {v_lo}, hi verdict {v_hi}",
             probes=probes,
         )
 
     while hi - lo > bracket_tol * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
-        if (yield mid).verdict == "negative":
+        if (yield mid) == "negative":
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
-def _bisect_lockstep(params, triples, bracket_tol, opts, rngs=None):
-    """Run one _bisection per reduced triple, in lockstep: each round
-    probes the pending mass of every unfinished bisection in one
-    _flow_rows call, on the default box in params.d dimensions.  Returns
-    one ThresholdResult per triple."""
+def _bisect(params, triples, bracket_tol, opts, rngs=None):
+    """Run one _bisection per reduced triple through one _Flow batch on
+    the default box in params.d dimensions.  Each bisection's first
+    probe is admitted at the start, and each next one as soon as the
+    verdict of the one before is known (_admit_probe), so it joins the
+    running flow at its next 10-iteration boundary.  Once a bisection
+    fails to bracket, no bisection admits another probe; the
+    BracketingError is raised when the probes in flight have stopped.
+    Returns one ThresholdResult per triple."""
     if opts is None:
         opts = FlowOptions()
     if rngs is None:
         rngs = [None] * len(triples)
-    grid = default_grid(params.d)
-    probes = [[] for _ in triples]
-    bisections = [_bisection(bracket_tol, log) for log in probes]
-    pending = {i: next(b) for i, b in enumerate(bisections)}
-    brackets = {}
-    while pending:
-        order = list(pending)
-        asks = [(triples[i], pending[i], rngs[i]) for i in order]
-        for i, pr in zip(order, _probes(params, grid, asks, opts)):
-            probes[i].append(pr)
-            try:
-                pending[i] = bisections[i].send(pr)
-            except StopIteration as end:
-                del pending[i]
-                brackets[i] = end.value
-    return [ThresholdResult(*brackets[i], probes[i]) for i in range(len(triples))]
+    flow = _Flow(params, default_grid(params.d), opts)
+    logs = [[] for _ in triples]
+    brackets = [None] * len(triples)
+    failed = []
+
+    def advance(i, bisection, verdict):
+        if failed:
+            return
+        try:
+            rho = bisection.send(verdict)
+        except StopIteration as end:
+            brackets[i] = end.value
+        except BracketingError as err:
+            failed.append(err)
+        else:
+            _admit_probe(flow, triples[i], rho, rngs[i], logs[i], partial(advance, i, bisection))
+
+    for i, log in enumerate(logs):
+        advance(i, _bisection(bracket_tol, log), None)
+    flow.run()
+    if failed:
+        raise failed[0]
+    return [ThresholdResult(*bracket, log) for bracket, log in zip(brackets, logs)]
 
 
 def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
@@ -816,10 +904,12 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     included, moves the lower end.  A probe's soundness does not steer
     the bisection: it is recorded per probe in the result (the CLI's
     .threshold.json) and in the manifest's sound flag.  Acting on
-    unsound or unresolved probes is direction 1 of ROADMAP.md.  Each
-    probe runs its seeds as rows of one flow (_flow_rows).
+    unsound or unresolved probes is direction 1 of ROADMAP.md.  The
+    bisection runs in one flow (_bisect): each probe's seeds are rows of
+    it, and the next probe joins it as soon as the verdict of the one
+    before is known.
     """
-    return _bisect_lockstep(params, [_reduced_triple(params, coeffs)], bracket_tol, opts, [rng])[0]
+    return _bisect(params, [_reduced_triple(params, coeffs)], bracket_tol, opts, [rng])[0]
 
 
 def lambda_reduction(coeffs, params):
@@ -878,10 +968,11 @@ class NamedThresholds:
 
 def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts=None):
     """Bisect every named threshold, each distinct Lambda once and all of
-    them in lockstep (_bisect_lockstep), so every round probes one mass
-    of each unfinished bisection in one flow.  Triples with the same
-    Lambda (rho_star and rho1[1.0]) share one ThresholdResult.  The
-    rho1/rho* entries require the scattering regime."""
+    them through one flow (_bisect): each bisection's next probe joins
+    it as soon as the verdict of the one before is known, so no
+    bisection waits on another's probes.  Triples with the same Lambda
+    (rho_star and rho1[1.0]) share one ThresholdResult.  The rho1/rho*
+    entries require the scattering regime."""
     if params.regime != "scattering":
         raise ValueError("named thresholds are defined in the scattering regime")
     dq = params.delta_q
@@ -899,7 +990,7 @@ def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts
     for lam, c in zip(lambdas, triples):
         first.setdefault(lam, c)
     reduced = [_reduced_triple(params, c) for c in first.values()]
-    by_lambda = dict(zip(first, _bisect_lockstep(params, reduced, bracket_tol, opts)))
+    by_lambda = dict(zip(first, _bisect(params, reduced, bracket_tol, opts)))
     th = [by_lambda[lam] for lam in lambdas]
     return NamedThresholds(
         rho_E=th[0],

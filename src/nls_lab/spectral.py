@@ -31,6 +31,7 @@ __all__ = [
     "normalize",
     "rms_width",
     "truncation_fraction",
+    "outside_fraction",
     "spectral_tail_fraction",
     "spectral_gradient",
     "eval_at_scale",
@@ -121,11 +122,16 @@ def rms_width(field):
 
 def truncation_fraction(field):
     """Mass fraction outside the core box [-L/4, L/4]^d."""
-    a2 = field.values.real**2 + field.values.imag**2
+    return outside_fraction(field.values.real**2 + field.values.imag**2, field.grid)
+
+
+def outside_fraction(a2, grid):
+    """truncation_fraction of the field whose |u|^2 is a2, a grid-shaped
+    array."""
     total = float(a2.sum())
     if total == 0:
         return 0.0
-    return float(a2[~field.grid.core_mask].sum()) / total
+    return float(a2[~grid.core_mask].sum()) / total
 
 
 def spectral_tail_fraction(field):

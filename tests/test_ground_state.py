@@ -1,4 +1,6 @@
 import warnings
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from nls_lab import backend, spectral
 from nls_lab import ground_state as gs
-from nls_lab import spectral
 from nls_lab.functionals import CoeffTriple, ModelParams, breakdown
 from nls_lab.grid import AnalyticProfile, Grid, ResolutionWarning, eval_profile
 from oracles import _soliton_integrals, continuum_threshold
@@ -148,6 +150,72 @@ def test_flow_rows_match_each_row_run_alone_2d(rows, max_iters, dt, shuffle):
     over two grid axes of the batch."""
     params = ModelParams(d=2, q=2.0, p=2.5)
     _assert_rows_match_alone(params, Grid(d=2, n=16, L=16.0), rows, max_iters, dt, shuffle)
+
+
+def _assert_rows_join_mid_flight(params, grid, rows, queued_at, max_iters, dt):
+    """Rows (rho, gamma, seed width) flowed through one _Flow, row i
+    queued at the queued_at[i]-th flow iteration, give bit for bit what
+    each gives run alone.  A row queued while the batch runs joins it at
+    its next 10-iteration boundary, as other rows leave; one queued when
+    the batch has emptied starts it again."""
+    opts = gs.FlowOptions(max_iters=max_iters, dt=dt)
+    coeffs = [CoeffTriple(0.5, 0.2, gamma) for _, gamma, _ in rows]
+    rhos = [rho for rho, _, _ in rows]
+    seeds = [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for _, _, w in rows]
+    alone = [
+        _row_key(gs._flow_rows(params, grid, [c], [rho], [seed], opts)[0])
+        for c, rho, seed in zip(coeffs, rhos, seeds)
+    ]
+    flow = gs._Flow(params, grid, opts)
+    results = [None] * len(rows)
+    later = sorted(range(len(rows)), key=queued_at.__getitem__)
+    kick = backend.flow_kick
+    iterations = 0
+
+    def admit(i):
+        flow.admit(coeffs[i], rhos[i], seeds[i], partial(results.__setitem__, i))
+
+    def queue_then_kick(*args):
+        nonlocal iterations
+        iterations += 1
+        while later and queued_at[later[0]] <= iterations:
+            admit(later.pop(0))
+        return kick(*args)
+
+    with mock.patch.object(backend, "flow_kick", queue_then_kick):
+        while later:
+            admit(later.pop(0))
+            flow.run()
+    assert [_row_key(r) for r in results] == alone
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=_ROWS,
+    max_iters=st.integers(1, 45),
+    dt=st.sampled_from([0.05, 0.5]),
+    data=st.data(),
+)
+def test_rows_joining_mid_flight_match_each_row_run_alone(params, rows, max_iters, dt, data):
+    """Rows that join a running batch at 10-iteration boundaries, while
+    other rows leave it, give bit for bit the result of that row run
+    alone: each keeps its own iteration count, checkpoints and budget."""
+    queued_at = [data.draw(st.integers(0, 50)) for _ in rows]
+    _assert_rows_join_mid_flight(params, _ROW_GRID, rows, queued_at, max_iters, dt)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    rows=_ROWS,
+    max_iters=st.integers(1, 45),
+    dt=st.sampled_from([0.05, 0.5]),
+    data=st.data(),
+)
+def test_rows_joining_mid_flight_match_each_row_run_alone_2d(rows, max_iters, dt, data):
+    """The same in d=2 on a 16x16 grid."""
+    params = ModelParams(d=2, q=2.0, p=2.5)
+    queued_at = [data.draw(st.integers(0, 50)) for _ in rows]
+    _assert_rows_join_mid_flight(params, Grid(d=2, n=16, L=16.0), rows, queued_at, max_iters, dt)
 
 
 _D1 = (ModelParams(d=1, q=4.0, p=4.5), Grid(d=1, n=512, L=64.0), 2.6)
@@ -375,6 +443,42 @@ def test_named_thresholds_match_threshold_mass(sparams):
         assert [(p.rho, p.verdict, [r.energy for r in p.results]) for p in th.probes] == [
             (p.rho, p.verdict, [r.energy for r in p.results]) for p in alone.probes
         ]
+
+
+def test_named_thresholds_do_not_wait_on_decided_probes(sparams, monkeypatch):
+    """A bisection's next probe joins the running flow once its verdict
+    is known, so the flow makes fewer iterations (one flow_kick each) than
+    a lockstep schedule, in which every round of probes, one per
+    bisection, lasts as long as its slowest seed."""
+    kicks = []
+    kick = backend.flow_kick
+
+    def counted(*args):
+        kicks.append(1)
+        return kick(*args)
+
+    monkeypatch.setattr(backend, "flow_kick", counted)
+    named = gs.named_thresholds(sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,))
+    bisections = {id(th): th for th in (named.rho_E, named.rho_SW, named.rho_star, named.rho2[0.4])}
+    logs = [th.probes for th in bisections.values()]
+    rounds = max(len(log) for log in logs)
+    lockstep = sum(
+        max(max(r.iterations for r in log[k].results) for log in logs if k < len(log))
+        for k in range(rounds)
+    )
+    assert len(kicks) < lockstep
+
+
+def test_bracketing_error_carries_complete_probe_log(sparams):
+    """A bisection that cannot bracket (one flow iteration per seed
+    leaves the low end unresolved) raises once the probes in flight have
+    stopped, so every ProbeResult it carries is complete."""
+    with pytest.raises(gs.BracketingError) as err:
+        gs.named_thresholds(
+            sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,), opts=gs.FlowOptions(max_iters=1)
+        )
+    assert err.value.probes
+    assert all(len(p.results) == len(gs.SEED_WIDTHS) and p.verdict for p in err.value.probes)
 
 
 def test_named_thresholds_need_scattering_regime(params):
