@@ -218,6 +218,13 @@ def parse_config(text, subcommand):
     if q is not None and p is not None and not q < p < hi:
         errors.append(f"p: requires q < p < {hi} (got {p})")
 
+    if subcommand == "scatter":
+        # The scattering probe compares the snapshots of two clocks or more.
+        check(
+            "snapshot_taus",
+            lambda v: len(set(v)) >= 2 and all(0 < t < 1 for t in v),
+            "the scattering probe needs two distinct clocks in (0, 1)",
+        )
     if subcommand == "scatter" and "tau_max" in values:
         taus = values.get("snapshot_taus", SCATTER_SNAPSHOT_TAUS)
         late = [t for t in taus if t > values["tau_max"]]

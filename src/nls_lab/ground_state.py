@@ -10,7 +10,6 @@ by bisection on the oracle's verdict.
 
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
-from functools import partial
 
 import numpy as np
 
@@ -66,8 +65,8 @@ def default_grid(d):
 
     minimize_on_sphere uses it in params.d dimensions when no grid is
     given, except a polished minimization, which scales this box to its
-    seed's dilation minimizer (_dilation_fit); probe and threshold_mass
-    always use it.
+    seed's dilation minimizer (_dilation_fit); probe, threshold_mass and
+    named_thresholds always use it.
     """
     return Grid(d=d, n=512, L=64.0)
 
@@ -309,7 +308,7 @@ class _Rows:
 
 def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
     """Run one normalized gradient flow per row: a _Flow batch with every
-    row admitted at the start and none later.
+    row admitted at the start, keyed by its index, and none later.
 
     Row i flows seeds[i], an AnalyticProfile sampled on grid, at mass
     rhos[i]^2 under the triple coeffs[i]; params, grid and opts are
@@ -317,29 +316,28 @@ def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
     bit the result of that row run alone.
     """
     flow = _Flow(params, grid, opts)
-    results = [None] * len(seeds)
     for i, row in enumerate(zip(coeffs, rhos, seeds)):
-        flow.admit(*row, partial(results.__setitem__, i))
-    flow.run()
-    return results
+        flow.admit(i, *row)
+    results = dict(flow.run())
+    return [results[i] for i in range(len(seeds))]
 
 
 class _Flow:
     """A batch of normalized gradient flows, one per row, that admits rows
     while it runs.
 
-    admit() queues a row; run() steps the batch until no row runs and
-    none is queued.  A queued row joins at the batch's next 10-iteration
-    boundary, or at once when no row runs, so all rows share one
-    checkpoint cadence and one _checkpoint call every 10 iterations
+    admit() queues a row under a key; run() steps the batch until no row
+    runs and none is queued, and yields (key, MinimizeResult) for each
+    row in the iteration it stops.  A queued row, also one admitted while
+    the caller holds a yielded result, joins at the batch's next
+    10-iteration boundary, or at once when no row runs, so all rows share
+    one checkpoint cadence and one _checkpoint call every 10 iterations
     serves them all.  Each row keeps its own iteration count (its
     checkpoints, its max_iters budget and the iterations _finish
     reports), dt, energy history, truncation monitor, accept/reject and
     stopping tests (FlowOptions), and is computed with the same
     floating-point operations as when it runs alone, so its result does
-    not depend on the other rows or on when it joined.  A row leaves the
-    batch when it stops, and its MinimizeResult goes to its callback in
-    that iteration; the callback may admit more rows.
+    not depend on the other rows or on when it joined.
 
     The state is a (rows, grid.size) float64 array; a seed must sample
     real (_start_row).  An iteration makes one rfftn and one irfftn over
@@ -361,25 +359,21 @@ class _Flow:
         # The mass outside the core box, as a weight on v^2.
         self.outside = (~grid.core_mask).reshape(-1) * grid.cell_volume
         self.queue = []
-        # (coeffs, rho, callback) of every row admitted, indexed by row.owner.
-        self.owners = []
 
-    def admit(self, coeffs, rho, seed, done):
-        """Queue a row flowing seed at mass rho^2 under coeffs; done(result)
-        is called with its MinimizeResult when it stops."""
-        start = _start_row(self.params, self.grid, coeffs, rho, seed, self.opts)
-        self.queue.append((coeffs, rho, done, start))
+    def admit(self, key, coeffs, rho, seed):
+        """Queue a row flowing seed at mass rho^2 under coeffs; run()
+        yields key with its MinimizeResult when it stops."""
+        self.queue.append((key, _start_row(self.params, self.grid, coeffs, rho, seed, self.opts)))
 
     def _join(self, s, it):
         """s with the queued rows added, joining at batch iteration it."""
-        starts = [start for *_, start in self.queue]
+        starts = [start for _, start in self.queue]
         new = _Rows(**{name: np.array([r[name] for _, r in starts], dtype=float) for name in starts[0][1]})
         new.vals = np.stack([vals for vals, _ in starts])
         # |v|^{q-1} and |v|^{p-1} of each row's accepted state, for its kick.
         new.pq, new.pp = _powers(new.vals, self.params)
         rows = len(starts)
-        new.owner = np.arange(len(self.owners), len(self.owners) + rows)
-        self.owners += [(coeffs, rho, done) for coeffs, rho, done, _ in self.queue]
+        new.key = np.fromiter((key for key, _ in self.queue), dtype=object, count=rows)
         self.queue = []
         new.joined = np.full(rows, it)
         new.residual = np.full(rows, np.inf)
@@ -393,14 +387,15 @@ class _Flow:
         return new if s is None else s.join(new)
 
     def run(self):
-        """Step the batch until no row runs and none is queued."""
+        """Step the batch until no row runs and none is queued, yielding
+        (key, MinimizeResult) for each row as it stops."""
         params, grid, opts = self.params, self.grid, self.opts
         vol = grid.cell_volume
         s, it = None, 0
         while True:
             if self.queue and (s is None or it % 10 == 0):
                 s = self._join(s, it)
-                index = np.arange(s.owner.size)
+                index = np.arange(s.key.size)
             if s is None:
                 return
             it += 1
@@ -460,11 +455,10 @@ class _Flow:
             if stop.any():
                 done = s.take(stop)
                 s = s.take(~stop)
-                index = np.arange(s.owner.size)
-                for j, owner in enumerate(done.owner):
-                    coeffs, rho, callback = self.owners[owner]
-                    callback(_finish(params, grid, coeffs, rho, opts, it - int(done.joined[j]), done, j))
-                if not s.owner.size:
+                index = np.arange(s.key.size)
+                for j, key in enumerate(done.key):
+                    yield key, _finish(params, grid, opts, it - int(done.joined[j]), done, j)
+                if not s.key.size:
                     s, it = None, 0
 
 
@@ -560,9 +554,11 @@ def _rms_width(a2, grid):
     return np.sqrt((grid.x_sq.reshape(-1) * a2).sum(-1) * vol) / np.sqrt(a2.sum(-1) * vol)
 
 
-def _finish(params, grid, coeffs, rho, opts, it, rows, j):
+def _finish(params, grid, opts, it, rows, j):
     """The MinimizeResult of row j of rows, stopped after it iterations:
     _polish if asked, then the residual, classification and soundness."""
+    coeffs = CoeffTriple(float(rows.alpha[j]), float(rows.beta[j]), float(rows.gamma[j]))
+    rho = float(rows.rho[j])
     vals = rows.vals[j]
     energy = float(rows.energy[j])
     residual = float(rows.residual[j])
@@ -579,8 +575,9 @@ def _finish(params, grid, coeffs, rho, opts, it, rows, j):
         residual = float(
             _residual(vals[None], grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma)[0]
         )
+    width = float(_rms_width((vals * vals)[None], grid)[0])
     width0 = rows.width0[j]
-    width_ratio = float(spectral.rms_width(final) / width0) if width0 > 0 else np.inf
+    width_ratio = float(width / width0) if width0 > 0 else np.inf
 
     sound = True
     if certified:
@@ -598,7 +595,7 @@ def _finish(params, grid, coeffs, rho, opts, it, rows, j):
                 and spectral.truncation_fraction(final) < 1e-6
                 and spectral.spectral_tail_fraction(final) < 1e-6
             )
-    elif -tol_neg < energy < rows.tol_spread[j] and spectral.rms_width(final) >= rows.spread_target[j]:
+    elif -tol_neg < energy < rows.tol_spread[j] and width >= rows.spread_target[j]:
         classification = "spread_to_zero_energy"
     elif abs(energy) <= tol_neg and residual < opts.residual_tol:
         classification = "spread_to_zero_energy"
@@ -730,48 +727,20 @@ def _verdict(rho, results):
     )
 
 
-def _admit_probe(flow, coeffs, rho, rng, log, decide=None):
-    """Admit the seeds of one probe at mass rho into flow (_Flow), one row
-    per width in SEED_WIDTHS, jittered by rng in seed order if given.
-
-    log gets the probe's slot now and its ProbeResult when its last seed
-    stops.  decide(verdict) is called once, as soon as the verdict is
-    known: when a seed certifies negativity, or else when the last seed
-    stops.  The other seeds of a probe decided negative flow on to their
-    own stop, so the ProbeResult in log is complete.
-    """
-    results = [None] * len(SEED_WIDTHS)
-    pending = len(SEED_WIDTHS)
-    slot = len(log)
-    log.append(None)
-    decided = decide is None
-
-    def seed_done(j, result):
-        nonlocal pending, decided
-        results[j] = result
-        pending -= 1
-        if not pending:
-            log[slot] = _verdict(rho, results)
-        if not decided and (result.classification == "converged_negative" or not pending):
-            decided = True
-            decide("negative" if result.classification == "converged_negative" else log[slot].verdict)
-
-    for j, w in enumerate(SEED_WIDTHS):
-        if rng is not None:
-            w = w * float(rng.uniform(0.95, 1.05))
-        seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=w)
-        flow.admit(coeffs, rho, seed, partial(seed_done, j))
+def _seeds(rng):
+    """The seeds of one probe: a Gaussian of each width in SEED_WIDTHS,
+    jittered by rng in seed order if given."""
+    widths = SEED_WIDTHS if rng is None else [w * float(rng.uniform(0.95, 1.05)) for w in SEED_WIDTHS]
+    return [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for w in widths]
 
 
 def probe(params, coeffs, rho):
     """Flow a Gaussian seed of each width in SEED_WIDTHS at mass rho^2,
-    as rows of one flow with the default FlowOptions on
+    as rows of one _flow_rows batch with the default FlowOptions on
     default_grid(params.d), and classify the probe (ProbeResult)."""
-    flow = _Flow(params, default_grid(params.d), FlowOptions())
-    log = []
-    _admit_probe(flow, coeffs, rho, None, log)
-    flow.run()
-    return log[0]
+    n = len(SEED_WIDTHS)
+    results = _flow_rows(params, default_grid(params.d), [coeffs] * n, [rho] * n, _seeds(None), FlowOptions())
+    return _verdict(rho, results)
 
 
 class BracketingError(RuntimeError):
@@ -848,37 +817,58 @@ def _bisection(bracket_tol, probes):
 
 def _bisect(params, triples, bracket_tol, opts, rngs=None):
     """Run one _bisection per reduced triple through one _Flow batch on
-    the default box in params.d dimensions.  Each bisection's first
-    probe is admitted at the start, and each next one as soon as the
-    verdict of the one before is known (_admit_probe), so it joins the
-    running flow at its next 10-iteration boundary.  Once a bisection
-    fails to bracket, no bisection admits another probe; the
+    the default box in params.d dimensions, whose rows are the probes'
+    seeds keyed (i, k, j): seed j of probe k of bisection i.  A probe's
+    verdict goes to its bisection at its first certified seed, or else
+    at its last seed, and the next probe is admitted then, to join the
+    running flow at its next 10-iteration boundary; the other seeds flow
+    on to their own stop, so every ProbeResult is complete.  Once a
+    bisection fails to bracket, no bisection admits another probe; the
     BracketingError is raised when the probes in flight have stopped.
     Returns one ThresholdResult per triple."""
+    if not 0 < bracket_tol < 1:
+        raise ValueError(f"bracket_tol must lie in (0, 1), got {bracket_tol}")
     if opts is None:
         opts = FlowOptions()
     if rngs is None:
         rngs = [None] * len(triples)
     flow = _Flow(params, default_grid(params.d), opts)
     logs = [[] for _ in triples]
+    bisections = [_bisection(bracket_tol, log) for log in logs]
     brackets = [None] * len(triples)
+    # (i, k) -> (rho, seed results) of probe k of bisection i.
+    probes = {}
     failed = []
 
-    def advance(i, bisection, verdict):
-        if failed:
-            return
+    def send(i, verdict):
+        """Send bisection i a verdict, and admit the probe it asks for."""
         try:
-            rho = bisection.send(verdict)
+            rho = bisections[i].send(verdict)
         except StopIteration as end:
             brackets[i] = end.value
         except BracketingError as err:
             failed.append(err)
         else:
-            _admit_probe(flow, triples[i], rho, rngs[i], logs[i], partial(advance, i, bisection))
+            k = len(logs[i])
+            logs[i].append(None)
+            probes[i, k] = rho, [None] * len(SEED_WIDTHS)
+            for j, seed in enumerate(_seeds(rngs[i])):
+                flow.admit((i, k, j), triples[i], rho, seed)
 
-    for i, log in enumerate(logs):
-        advance(i, _bisection(bracket_tol, log), None)
-    flow.run()
+    for i in range(len(triples)):
+        send(i, None)
+    for (i, k, j), result in flow.run():
+        rho, results = probes[i, k]
+        results[j] = result
+        if None not in results:
+            logs[i][k] = _verdict(rho, results)
+        # Bisection i waits on probe k only while k is its last probe.
+        if failed or brackets[i] is not None or k < len(logs[i]) - 1:
+            continue
+        if result.classification == "converged_negative":
+            send(i, "negative")
+        elif logs[i][k] is not None:
+            send(i, logs[i][k].verdict)
     if failed:
         raise failed[0]
     return [ThresholdResult(*bracket, log) for bracket, log in zip(brackets, logs)]

@@ -152,10 +152,9 @@ def spectral_gradient(field, axis):
     return np.fft.ifftn(hat)
 
 
-def _bandwidth(field):
-    """Smallest |k| radius containing all but a 1e-12 fraction of spectral mass."""
-    g = field.grid
-    hat = np.fft.fftn(field.values)
+def _bandwidth(hat, g):
+    """Smallest |k| radius containing all but a 1e-12 fraction of the
+    spectral mass of the field whose fftn on grid g is hat."""
     a2 = (hat.real**2 + hat.imag**2).ravel()
     k = np.sqrt(g.k_sq).ravel()
     order = np.argsort(k)
@@ -179,14 +178,15 @@ def eval_at_scale(field, scale):
     g = field.grid
     if scale <= 0:
         raise ValueError("scale must be positive")
+    spectrum = np.fft.fftn(field.values)
     if scale > 1:
-        k_need = _bandwidth(field) * scale
+        k_need = _bandwidth(spectrum, g) * scale
         k_max = np.pi * g.n / g.L
         if k_need > k_max:
             raise AliasingError(
                 f"dilation factor {scale} needs bandwidth {k_need:.3g} > Nyquist {k_max:.3g}"
             )
-    hat = np.fft.fftn(field.values) / g.size
+    hat = spectrum / g.size
     pts = scale * g.axis
     # Separable non-uniform evaluation: same scaled axis on every dimension.
     # The +L/2 shift aligns the fft phase origin with the box-centered axis.

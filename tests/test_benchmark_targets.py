@@ -1,7 +1,8 @@
 """The benchmark (perfbench/) drives nls_lab by name: its tracer
 (tracing.py) wraps functions that must exist, and its workloads
-(workloads.py) run configs that every subcommand must still accept, or
-benchmark runs fail."""
+(workloads.py) run configs that every subcommand must still accept, and
+whose outputs must pass the workloads' own checks, or benchmark runs
+fail."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from nls_lab import cli
 from nls_lab.config import parse_config
 
 
@@ -37,3 +39,19 @@ def test_workload_configs_parse(seed, tiny):
         cfg = parse_config(workloads.config_text(values), w.subcommand)
         assert set(cfg.values) == set(values), w.name
         assert cfg.grid().n >= 8
+
+
+@pytest.mark.parametrize("name", ["threshold_single", "named_set", "scatter_conformal"])
+def test_tiny_workload_passes_its_output_checks(name, tmp_path):
+    """Each workload's tiny config runs through the CLI, and its artifacts
+    pass the manifest check and the workload's own output check."""
+    workloads = _perfbench("workloads")
+    w = workloads.WORKLOADS[name]
+    values = w.config(1, True)
+    path = tmp_path / "run.cfg"
+    path.write_text(workloads.config_text(values))
+    prefix = tmp_path / name
+    assert cli.main([w.subcommand, "--config", str(path), "--out", str(prefix)]) == cli.EXIT_OK
+    problems, _ = workloads.verify_manifest(prefix)
+    assert problems == []
+    assert w.check(prefix, values) == []

@@ -195,6 +195,21 @@ def test_scatter_snapshot_beyond_tau_max_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "s.manifest.json").exists()
 
 
+def test_scatter_snapshot_taus_need_two_clocks_in_unit_interval(tmp_path, capsys):
+    """The scattering probe needs two distinct snapshot clocks, each in
+    (0, 1): a clock <= 0 would be dropped and a clock >= 1 ends the
+    conformal run at its singular time."""
+    for taus in ("0.5", "0.5, 0.5", "0.5, 1.0", "0.0, 0.5", "-0.1, 0.3, 0.5", ""):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(SCATTER_CFG + f"snapshot_taus = {taus}\n", "scatter")
+        assert [m for m in exc.value.errors if m.startswith("snapshot_taus:")], taus
+    parse_config(SCATTER_CFG + "snapshot_taus = 0.3, 0.5, 0.5\n", "scatter")
+    cfg = _write(tmp_path, SCATTER_CFG + "snapshot_taus = 0.5\n")
+    assert cli.main(["scatter", "--config", cfg, "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+    assert "two distinct clocks" in capsys.readouterr().err
+    assert not (tmp_path / "s.manifest.json").exists()
+
+
 def test_cli_evolve_blowup_exit_code(tmp_path, capsys):
     text = EVOLVE_CFG.replace("rho = 1.0", "rho = 1e90")
     cfg = _write(tmp_path, text)

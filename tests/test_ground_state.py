@@ -1,5 +1,4 @@
 import warnings
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -167,13 +166,13 @@ def _assert_rows_join_mid_flight(params, grid, rows, queued_at, max_iters, dt):
         for c, rho, seed in zip(coeffs, rhos, seeds)
     ]
     flow = gs._Flow(params, grid, opts)
-    results = [None] * len(rows)
+    results = {}
     later = sorted(range(len(rows)), key=queued_at.__getitem__)
     kick = backend.flow_kick
     iterations = 0
 
     def admit(i):
-        flow.admit(coeffs[i], rhos[i], seeds[i], partial(results.__setitem__, i))
+        flow.admit(i, coeffs[i], rhos[i], seeds[i])
 
     def queue_then_kick(*args):
         nonlocal iterations
@@ -185,8 +184,8 @@ def _assert_rows_join_mid_flight(params, grid, rows, queued_at, max_iters, dt):
     with mock.patch.object(backend, "flow_kick", queue_then_kick):
         while later:
             admit(later.pop(0))
-            flow.run()
-    assert [_row_key(r) for r in results] == alone
+            results.update(flow.run())
+    assert [_row_key(results[i]) for i in range(len(rows))] == alone
 
 
 @settings(max_examples=25, deadline=None)
@@ -307,6 +306,16 @@ def test_threshold_bracket_and_probe_log(threshold_energy):
     assert verdicts == {"zero", "negative"}
 
 
+def test_probe_matches_the_bisections_own_probes(params, threshold_energy):
+    """probe, which runs its seeds through _flow_rows, gives the first and
+    the last probe of a threshold_mass bisection, whose seeds are keyed
+    rows of one shared flow, the same verdict and the same seed results."""
+    for pr in (threshold_energy.probes[0], threshold_energy.probes[-1]):
+        alone = gs.probe(params, gs.triple_energy(params), pr.rho)
+        assert (alone.verdict, alone.sound) == (pr.verdict, pr.sound)
+        assert [_row_key(r) for r in alone.results] == [_row_key(r) for r in pr.results]
+
+
 def test_threshold_against_continuum_quadrature(params, threshold_energy):
     """The continuum threshold (independent soliton quadrature) lower
     bounds the flow estimate; the flow's seed landscape adds a barrier of
@@ -320,6 +329,17 @@ def test_threshold_against_continuum_quadrature(params, threshold_energy):
 def test_threshold_rejects_degenerate_inputs(params):
     with pytest.raises(ValueError):
         gs.threshold_mass(params, CoeffTriple.pure_focusing(0.5, 0.2))
+
+
+@pytest.mark.parametrize("bracket_tol", [0.0, -0.1, 1.0])
+def test_bisection_rejects_bracket_tol_outside_unit_interval(params, sparams, bracket_tol, monkeypatch):
+    """A negative bracket_tol would bisect forever and 0 until the bracket
+    collapses; either raises before any flow runs."""
+    monkeypatch.setattr(gs, "_Flow", None)
+    with pytest.raises(ValueError, match="bracket_tol"):
+        gs.threshold_mass(params, gs.triple_energy(params), bracket_tol=bracket_tol)
+    with pytest.raises(ValueError, match="bracket_tol"):
+        gs.named_thresholds(sparams, bracket_tol=bracket_tol)
 
 
 def test_threshold_monotone_in_gamma(params, threshold_energy):
@@ -427,8 +447,8 @@ def test_named_thresholds_bisect_each_lambda_once(named):
 
 
 def test_named_thresholds_match_threshold_mass(sparams):
-    """The lockstep bisections give every named entry the bracket and the
-    probe log (masses, verdicts, seed energies) of its own
+    """The bisections sharing one flow give every named entry the bracket
+    and the probe log (masses, verdicts, seed energies) of its own
     threshold_mass run."""
     named = gs.named_thresholds(sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,))
     entries = (

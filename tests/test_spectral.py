@@ -126,6 +126,22 @@ def test_eval_at_scale_aliasing_guard():
         spectral.eval_at_scale(narrow, -1.0)
 
 
+def test_eval_at_scale_transforms_once(grid512, monkeypatch):
+    """A dilation past scale 1 takes one fftn: the aliasing guard reads
+    its bandwidth off the spectrum the interpolant is built from."""
+    f = eval_profile(grid512, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0))
+    calls = []
+    fftn = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    spectral.eval_at_scale(f, 1.3)
+    assert len(calls) == 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     amp=st.floats(0.1, 3.0),
