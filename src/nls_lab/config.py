@@ -165,10 +165,12 @@ def parse_config(text, subcommand):
 
     required, optional = _KEYS[subcommand]
     reader = subcommand
+    # The key of the run's end clock, for an evolution.
+    end = "tau_max" if subcommand == "scatter" else None
     if subcommand == "evolve" and values.get("model") in _EVOLVE_MODELS:
         reader = f"a {values['model']}-model evolve"
-        clock, unread = _EVOLVE_MODELS[values["model"]]
-        required, optional = (*required, clock), set(optional) - unread
+        end, unread = _EVOLVE_MODELS[values["model"]]
+        required, optional = (*required, end), set(optional) - unread
     for key in required:
         if key not in values:
             errors.append(f"{key}: required for {reader}")
@@ -225,12 +227,13 @@ def parse_config(text, subcommand):
             lambda v: len(set(v)) >= 2 and all(0 < t < 1 for t in v),
             "the scattering probe needs two distinct clocks in (0, 1)",
         )
-    if subcommand == "scatter" and "tau_max" in values:
-        taus = values.get("snapshot_taus", SCATTER_SNAPSHOT_TAUS)
-        late = [t for t in taus if t > values["tau_max"]]
-        if late:
+    if end in values:
+        # An evolution starts at clock 0 and records no clock past its end.
+        taus = values.get("snapshot_taus", SCATTER_SNAPSHOT_TAUS if subcommand == "scatter" else ())
+        outside = [t for t in taus if not 0 <= t <= values[end]]
+        if outside:
             kind = "entries" if "snapshot_taus" in values else "default entries"
-            errors.append(f"snapshot_taus: {kind} {late} lie beyond tau_max = {values['tau_max']}")
+            errors.append(f"snapshot_taus: {kind} {outside} lie outside [0, {end} = {values[end]}]")
     for a in values.get("A_list", ()):
         if not 0 < a <= 1:
             errors.append(f"A_list: decay exponents must lie in (0, 1] (got {a})")

@@ -155,11 +155,15 @@ class MinimizeResult:
     classification is 'converged_negative' (energy certified below
     -tol_neg; the flow is monotone, so this holds whatever the residual
     does afterwards), 'spread_to_zero_energy' (energy pinned near 0 with
-    the spreading signature), or 'budget_exhausted'.  residual is the
-    absolute ||E'(u) - mu u||_2 of the returned state.  A negative result
-    is sound when its mass stays off the box edge; a polished one must
-    also keep its spectrum off the grid edge and have met the polish
-    stopping rule.
+    the spreading signature), or 'budget_exhausted' for any other stop:
+    the max_iters budget, and also, with iterations below max_iters, the
+    stall test, the dt floor, or a residual below residual_tol at an
+    energy outside [-tol_neg, tol_neg].  _verdict reads a budget_exhausted
+    seed at nonnegative energy that has doubled its width as the zero
+    branch.  residual is the absolute ||E'(u) - mu u||_2 of the returned
+    state.  A negative result is sound when its mass stays off the box
+    edge; a polished one must also keep its spectrum off the grid edge
+    and have met the polish stopping rule.
     """
 
     field: Field
@@ -324,7 +328,7 @@ def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
 
 class _Flow:
     """A batch of normalized gradient flows, one per row, that admits rows
-    while it runs.
+    while it runs and drops rows on request.
 
     admit() queues a row under a key; run() steps the batch until no row
     runs and none is queued, and yields (key, MinimizeResult) for each
@@ -332,12 +336,14 @@ class _Flow:
     the caller holds a yielded result, joins at the batch's next
     10-iteration boundary, or at once when no row runs, so all rows share
     one checkpoint cadence and one _checkpoint call every 10 iterations
-    serves them all.  Each row keeps its own iteration count (its
+    serves them all.  drop() removes rows, queued or running, before
+    they yield a result.  Each row keeps its own iteration count (its
     checkpoints, its max_iters budget and the iterations _finish
     reports), dt, energy history, truncation monitor, accept/reject and
     stopping tests (FlowOptions), and is computed with the same
     floating-point operations as when it runs alone, so its result does
-    not depend on the other rows or on when it joined.
+    not depend on the other rows, on when it joined or on which rows
+    were dropped.
 
     The state is a (rows, grid.size) float64 array; a seed must sample
     real (_start_row).  An iteration makes one rfftn and one irfftn over
@@ -359,14 +365,35 @@ class _Flow:
         # The mass outside the core box, as a weight on v^2.
         self.outside = (~grid.core_mask).reshape(-1) * grid.cell_volume
         self.queue = []
+        # The running rows (None when none runs), the batch's iteration
+        # count, and the (key, result) of stopped rows not yet yielded.
+        self.rows, self.it, self.stopped = None, 0, []
 
     def admit(self, key, coeffs, rho, seed):
         """Queue a row flowing seed at mass rho^2 under coeffs; run()
         yields key with its MinimizeResult when it stops."""
         self.queue.append((key, _start_row(self.params, self.grid, coeffs, rho, seed, self.opts)))
 
-    def _join(self, s, it):
-        """s with the queued rows added, joining at batch iteration it."""
+    def drop(self, keys):
+        """Remove the rows under keys, queued, running, or stopped and not
+        yet yielded: run() yields none of them.  A running row leaves the
+        batch before its next iteration."""
+        keys = set(keys)
+        self.queue = [row for row in self.queue if row[0] not in keys]
+        self.stopped = [row for row in self.stopped if row[0] not in keys]
+        if self.rows is not None:
+            for j, key in enumerate(self.rows.key):
+                if key in keys:
+                    self.rows.dropped[j] = True
+
+    def _keep(self, keep):
+        """Keep the given running rows; an emptied batch restarts at iteration 0."""
+        self.rows = self.rows.take(keep)
+        if not self.rows.key.size:
+            self.rows, self.it = None, 0
+
+    def _join(self):
+        """Add the queued rows to the batch, joining at its current iteration."""
         starts = [start for _, start in self.queue]
         new = _Rows(**{name: np.array([r[name] for _, r in starts], dtype=float) for name in starts[0][1]})
         new.vals = np.stack([vals for vals, _ in starts])
@@ -375,30 +402,36 @@ class _Flow:
         rows = len(starts)
         new.key = np.fromiter((key for key, _ in self.queue), dtype=object, count=rows)
         self.queue = []
-        new.joined = np.full(rows, it)
+        new.dropped = np.zeros(rows, dtype=bool)
+        new.joined = np.full(rows, self.it)
         new.residual = np.full(rows, np.inf)
         new.worst = np.zeros(rows)
         new.certified = np.zeros(rows, dtype=bool)
-        # The accepted energies of each row; count[i] of them are filled.
-        new.history = np.empty((rows, self.opts.max_iters + 1))
+        # A ring of each row's last STALL_WINDOW + 1 accepted energies, the
+        # one of its m-th accepted step in column m % (STALL_WINDOW + 1);
+        # count[i] accepted energies, the start's included, have been seen.
+        new.history = np.empty((rows, STALL_WINDOW + 1))
         new.history[:, 0] = new.energy
         new.count = np.ones(rows, dtype=int)
         new.aq, new.ap, new.decay = _step_arrays(new, slice(None), self.params, self.k_sq)
-        return new if s is None else s.join(new)
+        self.rows = new if self.rows is None else self.rows.join(new)
 
     def run(self):
         """Step the batch until no row runs and none is queued, yielding
         (key, MinimizeResult) for each row as it stops."""
         params, grid, opts = self.params, self.grid, self.opts
         vol = grid.cell_volume
-        s, it = None, 0
         while True:
-            if self.queue and (s is None or it % 10 == 0):
-                s = self._join(s, it)
-                index = np.arange(s.key.size)
+            while self.stopped:
+                yield self.stopped.pop(0)
+            if self.rows is not None and self.rows.dropped.any():
+                self._keep(~self.rows.dropped)
+            if self.queue and (self.rows is None or self.it % 10 == 0):
+                self._join()
+            s = self.rows
             if s is None:
                 return
-            it += 1
+            self.it = it = self.it + 1
             # Explicit nonlinear kick on the energy gradient's pointwise part.
             trial = backend.flow_kick(s.vals, s.aq, s.ap, s.pq, s.pp)
             # Exact decay for the -2 alpha Lap part.
@@ -441,7 +474,8 @@ class _Flow:
                 truncation[reject] = 0.0
             s.vals, s.pq, s.pp = trial, pq, pp
             s.energy = energy
-            s.history[index, s.count] = energy
+            # A rejected row's energy lands where its next accepted one will.
+            s.history[np.arange(s.key.size), s.count % (STALL_WINDOW + 1)] = energy
             s.count += accept
             s.worst = np.maximum(s.worst, truncation)
             # Rows join at multiples of 10, so a row's own iteration count
@@ -453,13 +487,12 @@ class _Flow:
                     stop[c] = _checkpoint(s, c, hat[c] * scale[c, None], self.k_sq, grid, params, opts)
                 stop |= last
             if stop.any():
-                done = s.take(stop)
-                s = s.take(~stop)
-                index = np.arange(s.key.size)
-                for j, key in enumerate(done.key):
-                    yield key, _finish(params, grid, opts, it - int(done.joined[j]), done, j)
-                if not s.key.size:
-                    s, it = None, 0
+                done = s.take(stop & ~s.dropped)
+                self._keep(~stop)
+                self.stopped = [
+                    (key, _finish(params, grid, opts, it - int(done.joined[j]), done, j))
+                    for j, key in enumerate(done.key)
+                ]
 
 
 def _step_arrays(s, rows, params, k_sq):
@@ -538,8 +571,8 @@ def _checkpoint(s, c, hat, k_sq, grid, params, opts):
         & (energy < s.tol_spread[c])
         & (_rms_width(vals * vals, grid) >= s.spread_target[c])
     )
-    recent_drop = s.history[c, np.maximum(s.count[c] - STALL_WINDOW, 0)] - energy
-    scale = np.maximum(np.abs(s.history[c, 0] - energy), s.tol_neg[c])
+    recent_drop = s.history[c, np.maximum(s.count[c] - STALL_WINDOW, 0) % (STALL_WINDOW + 1)] - energy
+    scale = np.maximum(np.abs(s.energy0[c] - energy), s.tol_neg[c])
     stall = (
         (s.count[c] > STALL_WINDOW)
         & (np.abs(energy) < s.tol_spread[c])
@@ -556,7 +589,9 @@ def _rms_width(a2, grid):
 
 def _finish(params, grid, opts, it, rows, j):
     """The MinimizeResult of row j of rows, stopped after it iterations:
-    _polish if asked, then the residual, classification and soundness."""
+    _polish if asked, then the residual, classification and soundness.
+    A row that stopped uncertified without the spreading signature, also
+    on the stall test before its budget ran out, is 'budget_exhausted'."""
     coeffs = CoeffTriple(float(rows.alpha[j]), float(rows.beta[j]), float(rows.gamma[j]))
     rho = float(rows.rho[j])
     vals = rows.vals[j]
@@ -782,50 +817,74 @@ def _reduced_triple(params, coeffs):
     )
 
 
-def _bisection(bracket_tol, probes):
-    """The bisection of threshold_mass, one probe at a time: yields each
-    mass to probe, is sent back its verdict, and returns the final
-    (rho_lo, rho_hi).  probes is the probe log a BracketingError carries."""
+def _bisection(bracket_tol, verdicts):
+    """The step of threshold_mass's bisection after the verdicts of its
+    probes so far, in order: the mass of its next probe, or its final
+    (rho_lo, rho_hi).  Raises BracketingError, with no probes attached,
+    when the verdicts leave the threshold unbracketed.
+
+    The lower end starts at DEFAULT_BRACKET[0] and halves, up to 7 times,
+    until it probes 'zero'; the upper end then starts at
+    DEFAULT_BRACKET[1] and doubles, up to 7 times, until it probes
+    'negative'.  Each midpoint then moves the upper end if it probes
+    'negative' and the lower end otherwise, until the bracket is below
+    bracket_tol times its midpoint."""
+    pending = iter(verdicts)
     lo, hi = DEFAULT_BRACKET
-    v_lo = yield lo
-    expand = 0
-    while v_lo != "zero" and expand < 7:
+    for expand in range(8):
+        v_lo = next(pending, None)
+        if v_lo is None:
+            return lo
+        if v_lo == "zero" or expand == 7:
+            break
         lo /= 2
-        v_lo = yield lo
-        expand += 1
-    v_hi = yield hi
-    expand = 0
-    while v_hi != "negative" and expand < 7:
+    for expand in range(8):
+        v_hi = next(pending, None)
+        if v_hi is None:
+            return hi
+        if v_hi == "negative" or expand == 7:
+            break
         hi *= 2
-        v_hi = yield hi
-        expand += 1
     if v_lo != "zero" or v_hi != "negative":
         raise BracketingError(
             f"could not bracket the threshold in [{lo}, {hi}]: "
             f"lo verdict {v_lo}, hi verdict {v_hi}",
-            probes=probes,
+            probes=[],
         )
-
-    while hi - lo > bracket_tol * 0.5 * (lo + hi):
+    for verdict in pending:
         mid = 0.5 * (lo + hi)
-        if (yield mid) == "negative":
+        if verdict == "negative":
             hi = mid
         else:
             lo = mid
+    if hi - lo > bracket_tol * 0.5 * (lo + hi):
+        return 0.5 * (lo + hi)
     return lo, hi
 
 
 def _bisect(params, triples, bracket_tol, opts, rngs=None):
     """Run one _bisection per reduced triple through one _Flow batch on
     the default box in params.d dimensions, whose rows are the probes'
-    seeds keyed (i, k, j): seed j of probe k of bisection i.  A probe's
-    verdict goes to its bisection at its first certified seed, or else
-    at its last seed, and the next probe is admitted then, to join the
-    running flow at its next 10-iteration boundary; the other seeds flow
-    on to their own stop, so every ProbeResult is complete.  Once a
-    bisection fails to bracket, no bisection admits another probe; the
-    BracketingError is raised when the probes in flight have stopped.
-    Returns one ThresholdResult per triple."""
+    seeds keyed (i, k, j): seed j of probe k of bisection i.
+
+    Bisection i waits on its current probe, the one its verdicts so far
+    ask for.  Beside it flows its zero-side successor, when that is a
+    probe: the probe _bisection asks for next if the current verdict is
+    not 'negative'.  The current verdict is known at the probe's first
+    certified seed, or else at its last seed.  The successor then becomes
+    the current probe if the verdict asks for it; otherwise it is dropped
+    from the flow and the probe the verdict asks for is admitted, to join
+    the running flow at its next 10-iteration boundary.  Either way the
+    new current probe gets a successor of its own.  Probe k of bisection
+    i always flows the k-th _seeds(rngs[i]) draw, and a row's result does
+    not depend on when it joined, so every probe on a bisection's path
+    is what probing one mass at a time gives.  The seeds of a path probe
+    flow on to their own stop after its verdict, so every ProbeResult is
+    complete.  Once a bisection fails to bracket, every successor is
+    dropped and no bisection admits another probe; the BracketingError
+    is raised, with that bisection's probe log, when the path probes in
+    flight have stopped.  Returns one ThresholdResult per triple, whose
+    probes are its path probes in order."""
     if not 0 < bracket_tol < 1:
         raise ValueError(f"bracket_tol must lie in (0, 1), got {bracket_tol}")
     if opts is None:
@@ -833,44 +892,76 @@ def _bisect(params, triples, bracket_tol, opts, rngs=None):
     if rngs is None:
         rngs = [None] * len(triples)
     flow = _Flow(params, default_grid(params.d), opts)
-    logs = [[] for _ in triples]
-    bisections = [_bisection(bracket_tol, log) for log in logs]
-    brackets = [None] * len(triples)
-    # (i, k) -> (rho, seed results) of probe k of bisection i.
+    verdicts = [[] for _ in triples]
+    # draws[i][k] is the k-th _seeds draw of bisection i, for its probe k.
+    draws = [[] for _ in triples]
+    # (i, k) -> (rho, seed results) of probe k of bisection i, on its path or flowing.
     probes = {}
+    # i -> the index of bisection i's zero-side successor in the flow.
+    successor = {}
+    brackets = [None] * len(triples)
     failed = []
 
-    def send(i, verdict):
-        """Send bisection i a verdict, and admit the probe it asks for."""
+    def admit(i, k, rho):
+        while len(draws[i]) <= k:
+            draws[i].append(_seeds(rngs[i]))
+        probes[i, k] = rho, [None] * len(SEED_WIDTHS)
+        for j, seed in enumerate(draws[i][k]):
+            flow.admit((i, k, j), triples[i], rho, seed)
+
+    def drop(i, k):
+        flow.drop((i, k, j) for j in range(len(SEED_WIDTHS)))
+        del probes[i, k]
+
+    def advance(i):
+        """Act on bisection i's verdicts so far: record its bracket, or make
+        the probe they ask for its current probe and admit that probe's
+        zero-side successor."""
+        k = len(verdicts[i])
         try:
-            rho = bisections[i].send(verdict)
-        except StopIteration as end:
-            brackets[i] = end.value
+            step = _bisection(bracket_tol, verdicts[i])
         except BracketingError as err:
-            failed.append(err)
-        else:
-            k = len(logs[i])
-            logs[i].append(None)
-            probes[i, k] = rho, [None] * len(SEED_WIDTHS)
-            for j, seed in enumerate(_seeds(rngs[i])):
-                flow.admit((i, k, j), triples[i], rho, seed)
+            failed.append((i, err))
+            for other, guess in successor.items():
+                drop(other, guess)
+            successor.clear()
+            return
+        guess = successor.pop(i, None)
+        if guess is not None and probes[i, guess][0] != step:
+            drop(i, guess)
+        if isinstance(step, tuple):
+            brackets[i] = step
+            return
+        if (i, k) not in probes:
+            admit(i, k, step)
+        try:
+            following = _bisection(bracket_tol, verdicts[i] + ["zero"])
+        except BracketingError:
+            return
+        if not isinstance(following, tuple):
+            successor[i] = k + 1
+            admit(i, k + 1, following)
+
+    def verdict(i):
+        """The verdict of bisection i's current probe, once its seeds tell it."""
+        rho, results = probes[i, len(verdicts[i])]
+        if any(r is not None and r.classification == "converged_negative" for r in results):
+            return "negative"
+        return None if None in results else _verdict(rho, results).verdict
 
     for i in range(len(triples)):
-        send(i, None)
+        advance(i)
     for (i, k, j), result in flow.run():
-        rho, results = probes[i, k]
-        results[j] = result
-        if None not in results:
-            logs[i][k] = _verdict(rho, results)
-        # Bisection i waits on probe k only while k is its last probe.
-        if failed or brackets[i] is not None or k < len(logs[i]) - 1:
-            continue
-        if result.classification == "converged_negative":
-            send(i, "negative")
-        elif logs[i][k] is not None:
-            send(i, logs[i][k].verdict)
+        probes[i, k][1][j] = result
+        # A promoted successor may have told its verdict already.
+        while not failed and brackets[i] is None and (v := verdict(i)) is not None:
+            verdicts[i].append(v)
+            advance(i)
+    logs = [[_verdict(*probes[i, k]) for k in range(len(path))] for i, path in enumerate(verdicts)]
     if failed:
-        raise failed[0]
+        i, err = failed[0]
+        err.probes = logs[i]
+        raise err
     return [ThresholdResult(*bracket, log) for bracket, log in zip(brackets, logs)]
 
 
@@ -896,8 +987,12 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     .threshold.json) and in the manifest's sound flag.  Acting on
     unsound or unresolved probes is direction 1 of ROADMAP.md.  The
     bisection runs in one flow (_bisect): each probe's seeds are rows of
-    it, and the next probe joins it as soon as the verdict of the one
-    before is known.
+    it, and beside the probe whose verdict it waits on flows that probe's
+    zero-side successor, the probe it asks for next unless the verdict is
+    'negative'.  A successor the verdict does not ask for is dropped, and
+    the probe it does ask for joins the flow as soon as the verdict is
+    known.  The probe log holds the probes on the bisection's path only,
+    and it and the bracket are what probing one mass at a time gives.
     """
     return _bisect(params, [_reduced_triple(params, coeffs)], bracket_tol, opts, [rng])[0]
 
@@ -958,9 +1053,11 @@ class NamedThresholds:
 
 def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts=None):
     """Bisect every named threshold, each distinct Lambda once and all of
-    them through one flow (_bisect): each bisection's next probe joins
-    it as soon as the verdict of the one before is known, so no
-    bisection waits on another's probes.  Triples with the same Lambda
+    them through one flow (_bisect): beside each bisection's current
+    probe flows its zero-side successor, and its next probe joins the
+    flow as soon as the current verdict is known, so no bisection waits
+    on another's probes.  Brackets and probe logs are those of each
+    bisection run alone.  Triples with the same Lambda
     (rho_star and rho1[1.0]) share one ThresholdResult.  The rho1/rho*
     entries require the scattering regime."""
     if params.regime != "scattering":

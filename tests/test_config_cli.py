@@ -210,6 +210,29 @@ def test_scatter_snapshot_taus_need_two_clocks_in_unit_interval(tmp_path, capsys
     assert not (tmp_path / "s.manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "model, end, taus, outside",
+    [
+        ("conformal", "tau_max", "-0.2, 0.0, 0.7, 1.5", "[-0.2, 0.7, 1.5]"),
+        ("physical", "t_max", "-0.2, 0.0, 0.3, 0.8", "[-0.2, 0.8]"),
+    ],
+)
+def test_evolve_snapshot_taus_outside_the_run_are_a_config_error(tmp_path, capsys, model, end, taus, outside):
+    """An evolve starts at clock 0 and stops at its end clock, so it could
+    record no snapshot at an earlier or later clock: such entries are a
+    config error, not silently dropped; 0 and the end clock are kept."""
+    text = EVOLVE_CFG.replace("model = physical", f"model = {model}").replace("t_max", end)
+    parse_config(text.replace("snapshot_taus = 0.5", "snapshot_taus = 0.0, 0.25, 0.5"), "evolve")
+    text = text.replace("snapshot_taus = 0.5", f"snapshot_taus = {taus}")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, "evolve")
+    assert exc.value.errors == [f"snapshot_taus: entries {outside} lie outside [0, {end} = 0.5]"]
+    cfg = _write(tmp_path, text)
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "e")]) == cli.EXIT_CONFIG
+    assert "snapshot_taus" in capsys.readouterr().err
+    assert not (tmp_path / "e.manifest.json").exists()
+
+
 def test_cli_evolve_blowup_exit_code(tmp_path, capsys):
     text = EVOLVE_CFG.replace("rho = 1.0", "rho = 1e90")
     cfg = _write(tmp_path, text)

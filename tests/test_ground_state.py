@@ -151,12 +151,15 @@ def test_flow_rows_match_each_row_run_alone_2d(rows, max_iters, dt, shuffle):
     _assert_rows_match_alone(params, Grid(d=2, n=16, L=16.0), rows, max_iters, dt, shuffle)
 
 
-def _assert_rows_join_mid_flight(params, grid, rows, queued_at, max_iters, dt):
+def _assert_rows_join_mid_flight(params, grid, rows, queued_at, dropped_at, max_iters, dt):
     """Rows (rho, gamma, seed width) flowed through one _Flow, row i
     queued at the queued_at[i]-th flow iteration, give bit for bit what
     each gives run alone.  A row queued while the batch runs joins it at
     its next 10-iteration boundary, as other rows leave; one queued when
-    the batch has emptied starts it again."""
+    the batch has emptied starts it again.  Row i is dropped at the first
+    flow iteration or yield from the dropped_at[i]-th flow iteration on
+    (never if None), unless it was yielded before: queued, running, or
+    stopped and not yet yielded.  A dropped row is never yielded."""
     opts = gs.FlowOptions(max_iters=max_iters, dt=dt)
     coeffs = [CoeffTriple(0.5, 0.2, gamma) for _, gamma, _ in rows]
     rhos = [rho for rho, _, _ in rows]
@@ -167,6 +170,7 @@ def _assert_rows_join_mid_flight(params, grid, rows, queued_at, max_iters, dt):
     ]
     flow = gs._Flow(params, grid, opts)
     results = {}
+    dropped = set()
     later = sorted(range(len(rows)), key=queued_at.__getitem__)
     kick = backend.flow_kick
     iterations = 0
@@ -174,18 +178,37 @@ def _assert_rows_join_mid_flight(params, grid, rows, queued_at, max_iters, dt):
     def admit(i):
         flow.admit(i, coeffs[i], rhos[i], seeds[i])
 
+    def drop_due():
+        due = {
+            i for i, at in enumerate(dropped_at)
+            if at is not None and at <= iterations and i not in later and i not in results
+        }
+        flow.drop(due - dropped)
+        dropped.update(due)
+
     def queue_then_kick(*args):
         nonlocal iterations
         iterations += 1
         while later and queued_at[later[0]] <= iterations:
             admit(later.pop(0))
+        drop_due()
         return kick(*args)
 
     with mock.patch.object(backend, "flow_kick", queue_then_kick):
         while later:
             admit(later.pop(0))
-            results.update(flow.run())
-    assert [_row_key(results[i]) for i in range(len(rows))] == alone
+            for key, result in flow.run():
+                assert key not in dropped
+                results[key] = result
+                drop_due()
+    kept = [i for i in range(len(rows)) if i not in dropped]
+    assert sorted(results) == kept
+    assert [_row_key(results[i]) for i in kept] == [alone[i] for i in kept]
+
+
+def _drop_times(data, queued_at):
+    """For each row, None or a flow iteration at or after it is queued."""
+    return [data.draw(st.none() | st.integers(at, at + 12)) for at in queued_at]
 
 
 @settings(max_examples=25, deadline=None)
@@ -197,10 +220,12 @@ def _assert_rows_join_mid_flight(params, grid, rows, queued_at, max_iters, dt):
 )
 def test_rows_joining_mid_flight_match_each_row_run_alone(params, rows, max_iters, dt, data):
     """Rows that join a running batch at 10-iteration boundaries, while
-    other rows leave it, give bit for bit the result of that row run
-    alone: each keeps its own iteration count, checkpoints and budget."""
+    other rows leave it or are dropped from it, give bit for bit the
+    result of that row run alone: each keeps its own iteration count,
+    checkpoints and budget."""
     queued_at = [data.draw(st.integers(0, 50)) for _ in rows]
-    _assert_rows_join_mid_flight(params, _ROW_GRID, rows, queued_at, max_iters, dt)
+    dropped_at = _drop_times(data, queued_at)
+    _assert_rows_join_mid_flight(params, _ROW_GRID, rows, queued_at, dropped_at, max_iters, dt)
 
 
 @settings(max_examples=10, deadline=None)
@@ -214,7 +239,22 @@ def test_rows_joining_mid_flight_match_each_row_run_alone_2d(rows, max_iters, dt
     """The same in d=2 on a 16x16 grid."""
     params = ModelParams(d=2, q=2.0, p=2.5)
     queued_at = [data.draw(st.integers(0, 50)) for _ in rows]
-    _assert_rows_join_mid_flight(params, Grid(d=2, n=16, L=16.0), rows, queued_at, max_iters, dt)
+    dropped_at = _drop_times(data, queued_at)
+    _assert_rows_join_mid_flight(params, Grid(d=2, n=16, L=16.0), rows, queued_at, dropped_at, max_iters, dt)
+
+
+def test_drop_removes_a_stopped_row_not_yet_yielded(params):
+    """Rows that stop in the same iteration are yielded one at a time; one
+    dropped while the caller holds another's result is never yielded."""
+    flow = gs._Flow(params, _ROW_GRID, gs.FlowOptions(max_iters=5))
+    seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=1.0)
+    for key in "abc":
+        flow.admit(key, CoeffTriple(0.5, 0.2, 0.2), 1.0, seed)
+    yielded = []
+    for key, result in flow.run():
+        yielded.append((key, result.iterations))
+        flow.drop(["c"])
+    assert yielded == [("a", 5), ("b", 5)]
 
 
 _D1 = (ModelParams(d=1, q=4.0, p=4.5), Grid(d=1, n=512, L=64.0), 2.6)
@@ -314,6 +354,42 @@ def test_probe_matches_the_bisections_own_probes(params, threshold_energy):
         alone = gs.probe(params, gs.triple_energy(params), pr.rho)
         assert (alone.verdict, alone.sound) == (pr.verdict, pr.sound)
         assert [_row_key(r) for r in alone.results] == [_row_key(r) for r in pr.results]
+
+
+def test_speculative_successors_are_invisible_and_pay(params, monkeypatch):
+    """A bisection flows each probe's zero-side successor beside it.  Its
+    first and last probes are still what _flow_rows gives the k-th _seeds
+    draw at their masses, and it makes fewer flow iterations (one
+    flow_kick each) than it would waiting for each path probe's verdict
+    in turn: its slowest seed for a 'zero' or 'unresolved' verdict, its
+    first certified seed for a 'negative' one."""
+    kicks = []
+    kick = backend.flow_kick
+
+    def counted(*args):
+        kicks.append(1)
+        return kick(*args)
+
+    monkeypatch.setattr(backend, "flow_kick", counted)
+    coeffs = gs.triple_energy(params)
+    th = gs.threshold_mass(params, coeffs, bracket_tol=0.02, rng=np.random.default_rng(3))
+    bisection_kicks = len(kicks)
+    rng = np.random.default_rng(3)
+    draws = [gs._seeds(rng) for _ in th.probes]
+    for k in (0, len(th.probes) - 1):
+        pr = th.probes[k]
+        n = len(draws[k])
+        alone = gs._flow_rows(params, gs.default_grid(1), [coeffs] * n, [pr.rho] * n, draws[k], gs.FlowOptions())
+        assert gs._verdict(pr.rho, alone).verdict == pr.verdict
+        assert [_row_key(r) for r in alone] == [_row_key(r) for r in pr.results]
+
+    def latency(pr):
+        if pr.verdict == "negative":
+            return min(r.iterations for r in pr.results if r.classification == "converged_negative")
+        return max(r.iterations for r in pr.results)
+
+    assert {pr.verdict for pr in th.probes} == {"zero", "negative"}
+    assert bisection_kicks < sum(latency(pr) for pr in th.probes)
 
 
 def test_threshold_against_continuum_quadrature(params, threshold_energy):
@@ -492,13 +568,20 @@ def test_named_thresholds_do_not_wait_on_decided_probes(sparams, monkeypatch):
 def test_bracketing_error_carries_complete_probe_log(sparams):
     """A bisection that cannot bracket (one flow iteration per seed
     leaves the low end unresolved) raises once the probes in flight have
-    stopped, so every ProbeResult it carries is complete."""
+    stopped, so every ProbeResult it carries is complete.  It carries the
+    probes on the bisection's path only, each at the mass _bisection asks
+    for after the verdicts before it, and no zero-side successor."""
     with pytest.raises(gs.BracketingError) as err:
         gs.named_thresholds(
             sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,), opts=gs.FlowOptions(max_iters=1)
         )
-    assert err.value.probes
-    assert all(len(p.results) == len(gs.SEED_WIDTHS) and p.verdict for p in err.value.probes)
+    probes = err.value.probes
+    assert probes
+    assert all(len(p.results) == len(gs.SEED_WIDTHS) and p.verdict for p in probes)
+    verdicts = [p.verdict for p in probes]
+    assert [p.rho for p in probes] == [gs._bisection(0.1, verdicts[:k]) for k in range(len(probes))]
+    with pytest.raises(gs.BracketingError):
+        gs._bisection(0.1, verdicts)
 
 
 def test_named_thresholds_need_scattering_regime(params):
