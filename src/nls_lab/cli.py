@@ -55,6 +55,10 @@ class Emitter:
         self.checksums[os.path.basename(path)] = hashlib.sha256(payload).hexdigest()
         return path
 
+    def json(self, suffix, doc):
+        """Write doc as a JSON artifact: sorted keys, indent 2."""
+        return self.write(suffix, json.dumps(doc, sort_keys=True, indent=2))
+
     def manifest(self, cfg, started, sound_flags):
         doc = {
             "artifact_version": __version__,
@@ -108,7 +112,7 @@ def cmd_threshold(cfg, emit):
     res = ground_state.threshold_mass(
         params, coeffs, opts=_flow_options(cfg), rng=_rng(cfg), **cfg.kwargs(bracket_tol="bracket_tol")
     )
-    emit.write(".threshold.json", json.dumps(_threshold_json(params, coeffs, res), sort_keys=True, indent=2))
+    emit.json(".threshold.json", _threshold_json(params, coeffs, res))
     return {"threshold": all(p.sound for p in res.probes)}
 
 
@@ -119,13 +123,10 @@ def cmd_named_thresholds(cfg, emit):
         opts=_flow_options(cfg),
         **cfg.kwargs(bracket_tol="bracket_tol", A_grid="A_grid", eps_grid="eps_grid"),
     )
+    rows = [(name, "", getattr(named, name)) for name in ("rho_E", "rho_SW", "rho_star")]
+    rows += [(name, _fmt(x), res) for name in ("rho1", "rho2") for x, res in getattr(named, name).items()]
     lines = ["name,parameter,rho_lo,rho_hi,rho0_est"]
-    for name, res in (("rho_E", named.rho_E), ("rho_SW", named.rho_SW), ("rho_star", named.rho_star)):
-        lines.append(f"{name},,{_fmt(res.rho_lo)},{_fmt(res.rho_hi)},{_fmt(res.rho0_est)}")
-    for a, res in named.rho1.items():
-        lines.append(f"rho1,{_fmt(a)},{_fmt(res.rho_lo)},{_fmt(res.rho_hi)},{_fmt(res.rho0_est)}")
-    for e, res in named.rho2.items():
-        lines.append(f"rho2,{_fmt(e)},{_fmt(res.rho_lo)},{_fmt(res.rho_hi)},{_fmt(res.rho0_est)}")
+    lines += [f"{name},{x},{_fmt(r.rho_lo)},{_fmt(r.rho_hi)},{_fmt(r.rho0_est)}" for name, x, r in rows]
     emit.write(".named.csv", "\n".join(lines) + "\n")
     return {"named_thresholds": True}
 
@@ -137,22 +138,8 @@ def cmd_groundstate(cfg, emit):
         params, coeffs, cfg.get("rho"), _flow_options(cfg), cfg.grid()
     )
     emit.write(".groundstate.field", field_to_bytes(res.field))
-    emit.write(
-        ".groundstate.json",
-        json.dumps(
-            {
-                "rho": cfg.get("rho"),
-                "energy": res.energy,
-                "residual": res.residual,
-                "iterations": res.iterations,
-                "classification": res.classification,
-                "width_ratio": res.width_ratio,
-                "sound": res.sound,
-            },
-            sort_keys=True,
-            indent=2,
-        ),
-    )
+    keys = ("energy", "residual", "iterations", "classification", "width_ratio", "sound")
+    emit.json(".groundstate.json", {"rho": cfg.get("rho")} | {k: getattr(res, k) for k in keys})
     return {"groundstate": res.sound}
 
 
@@ -187,20 +174,8 @@ def cmd_scatter(cfg, emit):
     controls = EvolveControls(**kw)
     traj = evolve(state, cfg.get("tau_max", max(controls.snapshot_clocks)), controls)
     report = conformal.scattering_probe(traj)
-    emit.write(
-        ".scatter.json",
-        json.dumps(
-            {
-                "taus": list(report.taus),
-                "finest_residual": report.finest_residual,
-                "tol": report.tol,
-                "verdict": report.verdict,
-                "sound": traj.sound,
-            },
-            sort_keys=True,
-            indent=2,
-        ),
-    )
+    doc = {k: getattr(report, k) for k in ("finest_residual", "tol", "verdict")}
+    emit.json(".scatter.json", doc | {"taus": list(report.taus), "sound": traj.sound})
     lines = ["," + ",".join(_fmt(t) for t in report.taus)]
     for i, t in enumerate(report.taus):
         lines.append(_fmt(t) + "," + ",".join(_fmt(r) for r in report.residuals[i]))

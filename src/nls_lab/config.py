@@ -7,8 +7,6 @@ offending key.  Validation collects ALL violations, not just the first.
 
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .functionals import CoeffTriple, ModelParams
 from .grid import AnalyticProfile, Grid
 
@@ -38,40 +36,57 @@ def _parse_floats(s):
     return tuple(float(x) for x in s.split(",") if x.strip())
 
 
-# key -> (converter, description)
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+
+
+def _at_least(m):
+    return lambda v: v >= m, f"must be >= {m}"
+
+
+def _among(*choices):
+    *head, last = map(str, choices)
+    return lambda v: v in choices, f"must be {', '.join(head)} or {last}"
+
+
+# key -> (converter, description, rule): rule is None or (test, message)
+# for the key's value on its own; parse_config checks the rules that
+# span keys.
 _SCHEMA = {
-    "model": (str, "physical or conformal"),
-    "d": (int, "spatial dimension"),
-    "n": (int, "grid points per axis"),
-    "L": (float, "box length"),
-    "q": (float, "defocusing exponent"),
-    "p": (float, "focusing exponent"),
-    "profile": (str, "gaussian or sech"),
-    "width": (float, "profile width"),
-    "chirp": (float, "quadratic phase coefficient"),
-    "center": (_parse_floats, "profile center offset"),
-    "rho": (float, "target L2 norm"),
-    "A_list": (_parse_floats, "decay exponents to record"),
-    "dt_base": (float, "base time step"),
-    "c_adapt": (float, "adaptive step coefficient"),
-    "cadence": (int, "record every N steps"),
-    "t_max": (float, "physical end time"),
-    "tau_max": (float, "conformal end time"),
-    "snapshot_taus": (_parse_floats, "snapshot clocks"),
-    "snapshots": (_parse_bool, "write binary field snapshots"),
-    "coeffs.alpha": (float, "kinetic weight"),
-    "coeffs.beta": (float, "defocusing weight"),
-    "coeffs.gamma": (float, "focusing weight"),
-    "bracket_tol": (float, "relative bisection tolerance"),
-    "A_grid": (_parse_floats, "A grid for rho1"),
-    "eps_grid": (_parse_floats, "epsilon grid for rho2"),
-    "max_iters": (int, "flow iteration budget"),
-    "flow_dt": (float, "flow step"),
-    "residual_tol": (float, "flow residual tolerance"),
-    "seed": (int, "RNG seed for seed-profile jitter"),
-    "out_prefix": (str, "output path prefix"),
-    "sweep.q_count": (int, "sweep grid size in q"),
-    "sweep.p_count": (int, "sweep grid size in p"),
+    "model": (str, "physical or conformal", _among("physical", "conformal")),
+    "d": (int, "spatial dimension", _among(1, 2, 3)),
+    "n": (
+        int, "grid points per axis", (lambda v: v >= 8 and (v & (v - 1)) == 0, "must be a power of two >= 8")
+    ),
+    "L": (float, "box length", _POSITIVE),
+    "q": (float, "defocusing exponent", None),
+    "p": (float, "focusing exponent", None),
+    "profile": (str, "gaussian or sech", _among("gaussian", "sech")),
+    "width": (float, "profile width", _POSITIVE),
+    "chirp": (float, "quadratic phase coefficient", None),
+    "center": (_parse_floats, "profile center offset", None),
+    "rho": (float, "target L2 norm", _POSITIVE),
+    "A_list": (_parse_floats, "decay exponents to record", None),
+    "dt_base": (float, "base time step", _POSITIVE),
+    "c_adapt": (float, "adaptive step coefficient", _POSITIVE),
+    "cadence": (int, "record every N steps", _at_least(1)),
+    "t_max": (float, "physical end time", _POSITIVE),
+    "tau_max": (float, "conformal end time", _UNIT),
+    "snapshot_taus": (_parse_floats, "snapshot clocks", None),
+    "snapshots": (_parse_bool, "write binary field snapshots", None),
+    "coeffs.alpha": (float, "kinetic weight", _POSITIVE),
+    "coeffs.beta": (float, "defocusing weight", _POSITIVE),
+    "coeffs.gamma": (float, "focusing weight", _POSITIVE),
+    "bracket_tol": (float, "relative bisection tolerance", _UNIT),
+    "A_grid": (_parse_floats, "A grid for rho1", None),
+    "eps_grid": (_parse_floats, "epsilon grid for rho2", None),
+    "max_iters": (int, "flow iteration budget", _at_least(1)),
+    "flow_dt": (float, "flow step", _POSITIVE),
+    "residual_tol": (float, "flow residual tolerance", _POSITIVE),
+    "seed": (int, "RNG seed for seed-profile jitter", None),
+    "out_prefix": (str, "output path prefix", None),
+    "sweep.q_count": (int, "sweep grid size in q", _at_least(2)),
+    "sweep.p_count": (int, "sweep grid size in p", _at_least(2)),
 }
 
 _COEFFS = ("coeffs.alpha", "coeffs.beta", "coeffs.gamma")
@@ -157,7 +172,7 @@ def parse_config(text, subcommand):
         if key not in _SCHEMA:
             errors.append(f"{key}: unknown key")
             continue
-        conv, desc = _SCHEMA[key]
+        conv, desc, _ = _SCHEMA[key]
         try:
             values[key] = conv(val)
         except (ValueError, TypeError):
@@ -186,27 +201,9 @@ def parse_config(text, subcommand):
         if key in values and not ok(values[key]):
             errors.append(f"{key}: {msg} (got {values[key]})")
 
-    check("model", lambda v: v in ("physical", "conformal"), "must be physical or conformal")
-    check("d", lambda v: v in (1, 2, 3), "must be 1, 2 or 3")
-    check("n", lambda v: v >= 8 and (v & (v - 1)) == 0, "must be a power of two >= 8")
-    check("L", lambda v: v > 0, "must be positive")
-    check("profile", lambda v: v in ("gaussian", "sech"), "must be gaussian or sech")
-    check("width", lambda v: v > 0, "must be positive")
-    check("rho", lambda v: v > 0, "must be positive")
-    check("dt_base", lambda v: v > 0, "must be positive")
-    check("c_adapt", lambda v: v > 0, "must be positive")
-    check("cadence", lambda v: v >= 1, "must be >= 1")
-    check("t_max", lambda v: v > 0, "must be positive")
-    check("tau_max", lambda v: 0 < v < 1, "must lie in (0, 1)")
-    check("bracket_tol", lambda v: 0 < v < 1, "must lie in (0, 1)")
-    check("max_iters", lambda v: v >= 1, "must be >= 1")
-    check("flow_dt", lambda v: v > 0, "must be positive")
-    check("residual_tol", lambda v: v > 0, "must be positive")
-    check("coeffs.alpha", lambda v: v > 0, "must be positive")
-    check("coeffs.beta", lambda v: v > 0, "must be positive")
-    check("coeffs.gamma", lambda v: v > 0, "must be positive")
-    check("sweep.q_count", lambda v: v >= 2, "must be >= 2")
-    check("sweep.p_count", lambda v: v >= 2, "must be >= 2")
+    for key in values:
+        if _SCHEMA[key][2] is not None:
+            check(key, *_SCHEMA[key][2])
 
     d = values["d"] if values.get("d") in (1, 2, 3) else 1  # a bad d is reported above
     check("center", lambda v: len(v) in (1, d), f"must have 1 or d = {d} components")

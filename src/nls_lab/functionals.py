@@ -111,14 +111,16 @@ class EnergyBreakdown:
             raise ValueError("raw integrals must be nonnegative")
 
 
-def breakdown(field, params, coeffs=None, kinetic=None):
-    """Compute the raw integrals once; total uses coeffs (default: the
-    physical energy weights).  A caller that holds the field's spectrum
-    passes K as kinetic (spectral.parseval_sums), which saves the FFT."""
+def breakdown(field, params, coeffs=None):
+    """Compute the raw integrals once, K by one FFT
+    (spectral.gradient_sq_norm); total uses coeffs (default: the physical
+    energy weights).  An evolution record, which holds its field's
+    spectrum and shares one |u|^2 with the truncation monitor, builds its
+    EnergyBreakdown itself (evolution._record)."""
     if coeffs is None:
         coeffs = energy_coeffs(params)
     m, nq, npw = spectral.power_integrals(field, params.q, params.p)
-    k = spectral.gradient_sq_norm(field) if kinetic is None else kinetic
+    k = spectral.gradient_sq_norm(field)
     total = coeffs.alpha * k + coeffs.beta * nq - coeffs.gamma * npw
     return EnergyBreakdown(kinetic=k, nq=nq, np=npw, mass=m, total=total)
 

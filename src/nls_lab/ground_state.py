@@ -14,12 +14,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import backend, spectral
-from .functionals import (
-    CoeffTriple,
-    breakdown,
-    energy_coeffs,
-    pohozaev_terms,
-)
+from .functionals import CoeffTriple, breakdown, energy_coeffs
 from .grid import AnalyticProfile, Field, Grid, eval_profile
 
 __all__ = [
@@ -158,7 +153,7 @@ class MinimizeResult:
     the spreading signature), or 'budget_exhausted' for any other stop:
     the max_iters budget, and also, with iterations below max_iters, the
     stall test, the dt floor, or a residual below residual_tol at an
-    energy outside [-tol_neg, tol_neg].  _verdict reads a budget_exhausted
+    energy outside [-tol_neg, tol_neg].  _decision reads a budget_exhausted
     seed at nonnegative energy that has doubled its width as the zero
     branch.  residual is the absolute ||E'(u) - mu u||_2 of the returned
     state.  A negative result is sound when its mass stays off the box
@@ -729,7 +724,8 @@ class ProbeResult:
 
     verdict 'negative' if ANY seed certifies E < -tol_neg (the flow can
     miss the global infimum, so one success suffices); 'zero' when every
-    seed lands on the zero-infimum signature; 'unresolved' otherwise.
+    seed lands on the zero-infimum signature; 'unresolved' otherwise
+    (_decision).
     """
 
     rho: float
@@ -742,23 +738,30 @@ class ProbeResult:
         return min(self.results, key=lambda r: r.energy)
 
 
+def _decision(results):
+    """A probe's verdict from its seeds' results so far, None for a seed
+    still flowing: 'negative' at its first certified seed, None while a
+    seed still flows, else 'zero' when every seed is on the zero branch
+    and 'unresolved' otherwise (ProbeResult)."""
+    if any(r is not None and r.classification == "converged_negative" for r in results):
+        return "negative"
+    if None in results:
+        return None
+    # Stalled flows pinned at nonnegative energy while spreading behave
+    # as the zero branch.
+    if all(
+        r.classification == "spread_to_zero_energy"
+        or (r.classification == "budget_exhausted" and r.energy > -r.tol_neg and r.width_ratio >= 2)
+        for r in results
+    ):
+        return "zero"
+    return "unresolved"
+
+
 def _verdict(rho, results):
     """The ProbeResult at mass rho of its seeds' MinimizeResults."""
-    classes = [r.classification for r in results]
-    if "converged_negative" in classes:
-        verdict = "negative"
-    elif all(
-        c == "spread_to_zero_energy"
-        or (c == "budget_exhausted" and r.energy > -r.tol_neg and r.width_ratio >= 2)
-        for c, r in zip(classes, results)
-    ):
-        # Stalled flows pinned at nonnegative energy while spreading
-        # behave as the zero branch.
-        verdict = "zero"
-    else:
-        verdict = "unresolved"
     return ProbeResult(
-        rho=rho, results=results, verdict=verdict, sound=all(r.sound for r in results)
+        rho=rho, results=results, verdict=_decision(results), sound=all(r.sound for r in results)
     )
 
 
@@ -867,24 +870,25 @@ def _bisect(params, triples, bracket_tol, opts, rngs=None):
     the default box in params.d dimensions, whose rows are the probes'
     seeds keyed (i, k, j): seed j of probe k of bisection i.
 
-    Bisection i waits on its current probe, the one its verdicts so far
-    ask for.  Beside it flows its zero-side successor, when that is a
-    probe: the probe _bisection asks for next if the current verdict is
-    not 'negative'.  The current verdict is known at the probe's first
-    certified seed, or else at its last seed.  The successor then becomes
-    the current probe if the verdict asks for it; otherwise it is dropped
-    from the flow and the probe the verdict asks for is admitted, to join
-    the running flow at its next 10-iteration boundary.  Either way the
-    new current probe gets a successor of its own.  Probe k of bisection
-    i always flows the k-th _seeds(rngs[i]) draw, and a row's result does
-    not depend on when it joined, so every probe on a bisection's path
-    is what probing one mass at a time gives.  The seeds of a path probe
-    flow on to their own stop after its verdict, so every ProbeResult is
-    complete.  Once a bisection fails to bracket, every successor is
-    dropped and no bisection admits another probe; the BracketingError
-    is raised, with that bisection's probe log, when the path probes in
-    flight have stopped.  Returns one ThresholdResult per triple, whose
-    probes are its path probes in order."""
+    The verdicts v of bisection i so far are its path.  After each of
+    them it plans the masses past its path: probe len(v) at
+    _bisection(v), and then its zero-side successor, probe len(v) + 1 at
+    _bisection(v + ['zero']), each while that is a mass and not a bracket
+    or a BracketingError.  It keeps each of its probes past the path that
+    flows at its planned mass, drops the others from the flow, and admits
+    the missing ones, to join the running flow at its next 10-iteration
+    boundary.  A probe's verdict is _decision of its seeds' results: known
+    at its first certified seed, or else at its last seed.  Probe k of
+    bisection i always flows the k-th _seeds(rngs[i]) draw, and a row's
+    result does not depend on when it joined, so every probe on a
+    bisection's path is what probing one mass at a time gives.  The seeds
+    of a path probe flow on to their own stop after its verdict, so every
+    ProbeResult is complete.  Once a bisection fails to bracket, every
+    bisection's plan is empty: every probe off a path is dropped at once,
+    and the BracketingError is raised, with the failing bisection's
+    complete path log, when the path probes in flight have stopped.
+    Returns one ThresholdResult per triple, whose probes are its path
+    probes in order."""
     if not 0 < bracket_tol < 1:
         raise ValueError(f"bracket_tol must lie in (0, 1), got {bracket_tol}")
     if opts is None:
@@ -892,77 +896,58 @@ def _bisect(params, triples, bracket_tol, opts, rngs=None):
     if rngs is None:
         rngs = [None] * len(triples)
     flow = _Flow(params, default_grid(params.d), opts)
+    seeds = range(len(SEED_WIDTHS))
     verdicts = [[] for _ in triples]
     # draws[i][k] is the k-th _seeds draw of bisection i, for its probe k.
     draws = [[] for _ in triples]
-    # (i, k) -> (rho, seed results) of probe k of bisection i, on its path or flowing.
+    # (i, k) -> (rho, seed results) of probe k of bisection i, on its path or planned past it.
     probes = {}
-    # i -> the index of bisection i's zero-side successor in the flow.
-    successor = {}
-    brackets = [None] * len(triples)
     failed = []
 
-    def admit(i, k, rho):
-        while len(draws[i]) <= k:
-            draws[i].append(_seeds(rngs[i]))
-        probes[i, k] = rho, [None] * len(SEED_WIDTHS)
-        for j, seed in enumerate(draws[i][k]):
-            flow.admit((i, k, j), triples[i], rho, seed)
-
-    def drop(i, k):
-        flow.drop((i, k, j) for j in range(len(SEED_WIDTHS)))
-        del probes[i, k]
-
-    def advance(i):
-        """Act on bisection i's verdicts so far: record its bracket, or make
-        the probe they ask for its current probe and admit that probe's
-        zero-side successor."""
-        k = len(verdicts[i])
-        try:
-            step = _bisection(bracket_tol, verdicts[i])
-        except BracketingError as err:
-            failed.append((i, err))
-            for other, guess in successor.items():
-                drop(other, guess)
-            successor.clear()
-            return
-        guess = successor.pop(i, None)
-        if guess is not None and probes[i, guess][0] != step:
-            drop(i, guess)
-        if isinstance(step, tuple):
-            brackets[i] = step
-            return
-        if (i, k) not in probes:
-            admit(i, k, step)
-        try:
-            following = _bisection(bracket_tol, verdicts[i] + ["zero"])
-        except BracketingError:
-            return
-        if not isinstance(following, tuple):
-            successor[i] = k + 1
-            admit(i, k + 1, following)
-
-    def verdict(i):
-        """The verdict of bisection i's current probe, once its seeds tell it."""
-        rho, results = probes[i, len(verdicts[i])]
-        if any(r is not None and r.classification == "converged_negative" for r in results):
-            return "negative"
-        return None if None in results else _verdict(rho, results).verdict
+    def replan(i):
+        """Plan bisection i past its path; keep, drop and admit probes to match."""
+        v = verdicts[i]
+        plan = {}
+        for zeros in (0, 1):
+            try:
+                step = _bisection(bracket_tol, v + ["zero"] * zeros)
+            except BracketingError as err:
+                if not zeros:
+                    failed.append((i, err))
+                break
+            if isinstance(step, tuple):
+                break
+            plan[i, len(v) + zeros] = step
+        stale = [
+            key
+            for key, (rho, _) in probes.items()
+            if key[1] >= len(verdicts[key[0]]) and (failed or key[0] == i) and plan.get(key) != rho
+        ]
+        flow.drop((b, k, j) for b, k in stale for j in seeds)
+        for key in stale:
+            del probes[key]
+        for (_, k), rho in plan.items():
+            if (i, k) not in probes:
+                while len(draws[i]) <= k:
+                    draws[i].append(_seeds(rngs[i]))
+                probes[i, k] = rho, [None] * len(seeds)
+                for j, seed in enumerate(draws[i][k]):
+                    flow.admit((i, k, j), triples[i], rho, seed)
 
     for i in range(len(triples)):
-        advance(i)
+        replan(i)
     for (i, k, j), result in flow.run():
         probes[i, k][1][j] = result
-        # A promoted successor may have told its verdict already.
-        while not failed and brackets[i] is None and (v := verdict(i)) is not None:
+        # A kept successor may have told its verdict already.
+        while (head := (i, len(verdicts[i]))) in probes and (v := _decision(probes[head][1])) is not None:
             verdicts[i].append(v)
-            advance(i)
+            replan(i)
     logs = [[_verdict(*probes[i, k]) for k in range(len(path))] for i, path in enumerate(verdicts)]
     if failed:
         i, err = failed[0]
         err.probes = logs[i]
         raise err
-    return [ThresholdResult(*bracket, log) for bracket, log in zip(brackets, logs)]
+    return [ThresholdResult(*_bisection(bracket_tol, v), log) for v, log in zip(verdicts, logs)]
 
 
 def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
@@ -987,12 +972,12 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     .threshold.json) and in the manifest's sound flag.  Acting on
     unsound or unresolved probes is direction 1 of ROADMAP.md.  The
     bisection runs in one flow (_bisect): each probe's seeds are rows of
-    it, and beside the probe whose verdict it waits on flows that probe's
+    it.  After each verdict it plans its next probe and that probe's
     zero-side successor, the probe it asks for next unless the verdict is
-    'negative'.  A successor the verdict does not ask for is dropped, and
-    the probe it does ask for joins the flow as soon as the verdict is
-    known.  The probe log holds the probes on the bisection's path only,
-    and it and the bracket are what probing one mass at a time gives.
+    'negative'; a flowing probe the plan does not hold at its mass is
+    dropped, and a planned probe not yet flowing joins the flow.  The
+    probe log holds the probes on the bisection's path only, and it and
+    the bracket are what probing one mass at a time gives.
     """
     return _bisect(params, [_reduced_triple(params, coeffs)], bracket_tol, opts, [rng])[0]
 
@@ -1053,13 +1038,14 @@ class NamedThresholds:
 
 def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts=None):
     """Bisect every named threshold, each distinct Lambda once and all of
-    them through one flow (_bisect): beside each bisection's current
-    probe flows its zero-side successor, and its next probe joins the
-    flow as soon as the current verdict is known, so no bisection waits
-    on another's probes.  Brackets and probe logs are those of each
-    bisection run alone.  Triples with the same Lambda
-    (rho_star and rho1[1.0]) share one ThresholdResult.  The rho1/rho*
-    entries require the scattering regime."""
+    them through one flow (_bisect): after each verdict a bisection plans
+    its next probe and that probe's zero-side successor, and a planned
+    probe joins the running flow, so no bisection waits on another's
+    probes.  Brackets and probe logs are those of each bisection run
+    alone; one that fails to bracket drops every probe off a path.
+    Triples with the same Lambda (rho_star and rho1[1.0]) share one
+    ThresholdResult.  The rho1/rho* entries require the scattering
+    regime."""
     if params.regime != "scattering":
         raise ValueError("named thresholds are defined in the scattering regime")
     dq = params.delta_q

@@ -15,7 +15,6 @@ accurate for smooth periodic data.  Norm conventions:
 import numpy as np
 
 from . import backend
-from .grid import Field
 
 __all__ = [
     "MOMENTUM_CONVENTION",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nls_lab import cli
-from nls_lab.config import ConfigError, parse_config
+from nls_lab.config import _SCHEMA, ConfigError, parse_config
 from nls_lab.grid import field_from_bytes
 
 
@@ -390,3 +390,49 @@ def test_center_needs_one_or_d_components(tmp_path, capsys):
     with pytest.raises(ConfigError) as exc:
         parse_config(planar + "center = 1, 2, 3\n", "evolve")
     assert [m.split(":")[0] for m in exc.value.errors] == ["center"]
+
+
+# (key, subcommand, out-of-range value, message, the value as parsed)
+RANGES = [
+    ("model", "evolve", "orbital", "must be physical or conformal", "orbital"),
+    ("d", "threshold", "0", "must be 1, 2 or 3", "0"),
+    ("n", "scatter", "100", "must be a power of two >= 8", "100"),
+    ("L", "scatter", "-1", "must be positive", "-1.0"),
+    ("profile", "scatter", "box", "must be gaussian or sech", "box"),
+    ("width", "scatter", "0", "must be positive", "0.0"),
+    ("rho", "groundstate", "-2", "must be positive", "-2.0"),
+    ("dt_base", "evolve", "0", "must be positive", "0.0"),
+    ("c_adapt", "scatter", "-1", "must be positive", "-1.0"),
+    ("cadence", "evolve", "0", "must be >= 1", "0"),
+    ("t_max", "evolve", "0", "must be positive", "0.0"),
+    ("tau_max", "scatter", "1.5", "must lie in (0, 1)", "1.5"),
+    ("bracket_tol", "threshold", "1", "must lie in (0, 1)", "1.0"),
+    ("max_iters", "groundstate", "0", "must be >= 1", "0"),
+    ("flow_dt", "groundstate", "0", "must be positive", "0.0"),
+    ("residual_tol", "groundstate", "-1e-3", "must be positive", "-0.001"),
+    ("coeffs.alpha", "threshold", "0", "must be positive", "0.0"),
+    ("coeffs.beta", "threshold", "-1", "must be positive", "-1.0"),
+    ("coeffs.gamma", "threshold", "0", "must be positive", "0.0"),
+    ("sweep.q_count", "sweep", "1", "must be >= 2", "1"),
+    ("sweep.p_count", "sweep", "0", "must be >= 2", "0"),
+]
+VALID = {
+    "evolve": EVOLVE_CFG,
+    "scatter": SCATTER_CFG,
+    "threshold": THRESHOLD_CFG,
+    "groundstate": NAMED_CFG + "rho = 0.5\n",
+    "sweep": "d = 1\n",
+}
+
+
+def test_every_single_value_rule_has_a_range_case():
+    assert {key for key, (_, _, rule) in _SCHEMA.items() if rule} == {row[0] for row in RANGES}
+
+
+@pytest.mark.parametrize("key, subcommand, value, message, got", RANGES, ids=[row[0] for row in RANGES])
+def test_out_of_range_value_names_its_key_and_rule(key, subcommand, value, message, got):
+    parse_config(VALID[subcommand], subcommand)
+    # A later line sets the key over the valid config's own value.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(VALID[subcommand] + f"{key} = {value}\n", subcommand)
+    assert [m for m in exc.value.errors if m.startswith(f"{key}:")] == [f"{key}: {message} (got {got})"]

@@ -392,6 +392,66 @@ def test_speculative_successors_are_invisible_and_pay(params, monkeypatch):
     assert bisection_kicks < sum(latency(pr) for pr in th.probes)
 
 
+def _seed_result(classification, energy=0.0, width_ratio=4.0):
+    return gs.MinimizeResult(
+        field=None, energy=energy, residual=0.0, iterations=1, classification=classification,
+        tol_neg=1e-6, initial_energy=0.0, width_ratio=width_ratio, sound=True,
+    )
+
+
+_NEGATIVE = _seed_result("converged_negative", energy=-1.0)
+_SPREAD = _seed_result("spread_to_zero_energy")
+
+
+@pytest.mark.parametrize(
+    "results, decision",
+    [
+        ([None, _NEGATIVE, None], "negative"),
+        ([_SPREAD, None, _NEGATIVE], "negative"),
+        ([None] * 3, None),
+        ([_SPREAD, None, _SPREAD], None),
+        ([_seed_result("budget_exhausted", width_ratio=1.5), _SPREAD, None], None),
+        ([_SPREAD, _NEGATIVE, _SPREAD], "negative"),
+        ([_SPREAD] * 3, "zero"),
+        ([_SPREAD, _seed_result("budget_exhausted", energy=1e-3, width_ratio=2.0), _SPREAD], "zero"),
+        ([_SPREAD, _seed_result("budget_exhausted", width_ratio=1.5), _SPREAD], "unresolved"),
+        ([_SPREAD, _seed_result("budget_exhausted", energy=-1e-5), _SPREAD], "unresolved"),
+    ],
+)
+def test_decision_on_partial_seed_results(results, decision):
+    """A probe is negative at its first certified seed, undecided while
+    another seed still flows, and once complete what _verdict says."""
+    assert gs._decision(results) == decision
+    if None not in results:
+        assert gs._verdict(1.0, results).verdict == decision
+
+
+def test_bisection_drops_exactly_the_successors_off_its_path(params, monkeypatch):
+    """Path probe k's zero-side successor, probe k + 1 at
+    _bisection(v[:k] + ['zero']), flows whenever that is a mass, and is
+    dropped exactly when path probe k + 1 is absent or sits at another
+    mass; no other probe is dropped."""
+    dropped = set()
+    drop = gs._Flow.drop
+
+    def recorded(self, keys):
+        keys = list(keys)
+        dropped.update((i, k) for i, k, _ in keys)
+        return drop(self, keys)
+
+    monkeypatch.setattr(gs._Flow, "drop", recorded)
+    th = gs.threshold_mass(params, gs.triple_energy(params), bracket_tol=0.02, rng=np.random.default_rng(3))
+    path = th.probes
+    verdicts = [pr.verdict for pr in path]
+    expected = set()
+    for k in range(len(path)):
+        successor = gs._bisection(0.02, verdicts[:k] + ["zero"])
+        if not isinstance(successor, tuple) and (k + 1 == len(path) or path[k + 1].rho != successor):
+            expected.add((0, k + 1))
+    assert expected
+    assert dropped == expected
+
+
 def test_threshold_against_continuum_quadrature(params, threshold_energy):
     """The continuum threshold (independent soliton quadrature) lower
     bounds the flow estimate; the flow's seed landscape adds a barrier of
