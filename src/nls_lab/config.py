@@ -66,7 +66,7 @@ _SCHEMA = {
     "chirp": (float, "quadratic phase coefficient", None),
     "center": (_parse_floats, "profile center offset", None),
     "rho": (float, "target L2 norm", _POSITIVE),
-    "A_list": (_parse_floats, "decay exponents to record", None),
+    "A": (float, "decay exponent to record", (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
     "dt_base": (float, "base time step", _POSITIVE),
     "c_adapt": (float, "adaptive step coefficient", _POSITIVE),
     "cadence": (int, "record every N steps", _at_least(1)),
@@ -101,7 +101,7 @@ _KEYS = {
     "groundstate": (("d", "q", "p", "rho"), ("n", "L", *_COEFFS, *_FLOW)),
     "evolve": (
         ("model", "d", "n", "L", "q", "p", "profile", "rho"),
-        (*_EVOLUTION, "A_list", "snapshots", "t_max", "tau_max"),
+        (*_EVOLUTION, "A", "snapshots", "t_max", "tau_max"),
     ),
     "scatter": (("d", "n", "L", "q", "p", "profile", "rho"), (*_EVOLUTION, "tau_max")),
     "verify": ((), ("d", "q", "p", "n", "L")),
@@ -231,9 +231,6 @@ def parse_config(text, subcommand):
         if outside:
             kind = "entries" if "snapshot_taus" in values else "default entries"
             errors.append(f"snapshot_taus: {kind} {outside} lie outside [0, {end} = {values[end]}]")
-    for a in values.get("A_list", ()):
-        if not 0 < a <= 1:
-            errors.append(f"A_list: decay exponents must lie in (0, 1] (got {a})")
 
     if errors:
         raise ConfigError(sorted(errors))

@@ -102,9 +102,9 @@ class StrangStepper:
     The state is a spectrum, fftn of the field, advanced in place: the
     half linear steps multiply it, and the nonlinear phase acts on its
     inverse transform, so a step costs 2 FFTs (none under free_flow).
-    The half linear multiplier is built once per dt; reverse=True
-    negates both the linear phase and the weights, undoing a forward
-    step exactly.
+    The half linear multiplier is built once per dt.  A step of -dt from
+    clock + dt undoes a step of dt from clock: the half linear phase and
+    the integrated weights both change sign.
     """
 
     def __init__(self, grid, params, model, free_flow=False):
@@ -137,20 +137,17 @@ class StrangStepper:
             self._dt = dt
         return self._half
 
-    def step(self, hat, clock, dt, reverse=False):
-        """Advance the spectrum hat in place over [clock, clock+dt]
-        (forward weights even when reverse, which then negates them)."""
+    def step(self, hat, clock, dt):
+        """Advance the spectrum hat in place from clock to clock + dt
+        (backward when dt < 0)."""
         half = self._half_linear(dt)
-        lin = np.conj(half) if reverse else half
-        hat *= lin
+        hat *= half
         if not self.free_flow:
             wq, wp = nonlinear_phase_weights(self.model, clock, dt, self.params)
-            if reverse:
-                wq, wp = -wq, -wp
             values = np.fft.ifftn(hat)
             backend.nonlinear_phase(values.reshape(-1), self._qm1, self._pm1, wq, wp)
             hat[...] = np.fft.fftn(values)
-        hat *= lin
+        hat *= half
 
 
 @dataclass
@@ -162,23 +159,25 @@ class DiagRecord:
     nq: float
     np: float
     energy: float
-    e_mod: dict
-    r_mod: dict
+    e_mod: float | None
+    r_mod: float | None
     sound: bool
     snapshot: Field | None = None
 
 
 @dataclass
 class EvolveControls:
-    """Step and record controls of evolve.  A record is sound while its
-    spectral truncation fraction is below the module constant
-    TRUNCATION_THRESHOLD, which is not a control."""
+    """Step and record controls of evolve.  A conformal step is
+    min(dt_base, c_adapt * (1 - tau)), so c_adapt = inf gives fixed
+    dt_base steps; a physical step is dt_base.  A is the decay exponent
+    whose E_A and R_A each record carries, or None for neither.  A record
+    is sound while its spectral truncation fraction is below the module
+    constant TRUNCATION_THRESHOLD, which is not a control."""
 
     dt_base: float = 1e-2
     c_adapt: float = 0.01
-    adaptive: bool = True
     cadence: int = 1
-    record_A: tuple = ()
+    A: float | None = None
     snapshot_clocks: tuple = ()
     free_flow: bool = False
 
@@ -191,7 +190,7 @@ class EvolveControls:
 class Trajectory:
     model: str
     params: object
-    record_A: tuple
+    A: float | None
     records: list = dc_field(default_factory=list)
 
     @property
@@ -211,71 +210,54 @@ class Trajectory:
     def series(self, attr):
         return np.array([getattr(r, attr) for r in self.records])
 
-    def e_mod_series(self, A):
-        return np.array([r.e_mod[A] for r in self.records])
-
-    def r_mod_series(self, A):
-        return np.array([r.r_mod[A] for r in self.records])
-
     def snapshots(self):
         return [(r.clock, r.snapshot) for r in self.records if r.snapshot is not None]
 
     def to_csv(self):
         """Diagnostics CSV: fixed column order tau, mass, K, nq, np, E,
-        E_A, R_A (first configured A), with a metadata header."""
+        E_A, R_A (E_A and R_A blank when A is None), with a metadata
+        header."""
         p = self.params
-        a0 = self.record_A[0] if self.record_A else None
         buf = io.StringIO()
-        buf.write(f"# model={self.model} d={p.d} q={p.q!r} p={p.p!r} A={a0!r}\n")
+        buf.write(f"# model={self.model} d={p.d} q={p.q!r} p={p.p!r} A={self.A!r}\n")
         buf.write("# coeffs=(1/2, 1/(q+1), 1/(p+1)) \n")
         buf.write(f"# momentum_convention={spectral.MOMENTUM_CONVENTION}\n")
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["tau", "mass", "K", "nq", "np", "E", "E_A", "R_A"])
         for r in self.records:
-            ea = r.e_mod.get(a0, "") if a0 is not None else ""
-            ra = r.r_mod.get(a0, "") if a0 is not None else ""
-            w.writerow(
-                [f"{v:.17g}" if v != "" else "" for v in
-                 (r.clock, r.mass, r.kinetic, r.nq, r.np, r.energy, ea, ra)]
-            )
+            row = (r.clock, r.mass, r.kinetic, r.nq, r.np, r.energy, r.e_mod, r.r_mod)
+            w.writerow(["" if v is None else f"{v:.17g}" for v in row])
         return buf.getvalue()
 
 
-def _record(state, hat, controls, want_snapshot):
-    """Diagnostics of state, whose field has the spectrum hat."""
-    g = state.field.grid
-    params = state.params
-    kinetic, *momentum = spectral.parseval_sums(hat, g, (g.k_sq, *g.k_mesh))
+def _record(grid, params, model, clock, hat, values, A, snapshot):
+    """Diagnostics at clock of the state with spectrum hat and values
+    ifftn(hat), which evolve has already checked finite.  A Field of the
+    values is built only for a snapshot."""
+    kinetic, *momentum = spectral.parseval_sums(hat, grid, (grid.k_sq, *grid.k_mesh))
     # One |v|^2 serves the power integrals of the breakdown and the
     # truncation monitor.
-    v = state.field.values
-    a2 = v.real**2 + v.imag**2
+    a2 = values.real**2 + values.imag**2
     sums = backend.abs2_power_sums(a2.ravel(), params.q + 1.0, params.p + 1.0)
-    mass, nq, npw = (float(s) * g.cell_volume for s in sums)
+    mass, nq, npw = (float(s) * grid.cell_volume for s in sums)
     c = energy_coeffs(params)
     b = EnergyBreakdown(
         kinetic=kinetic, nq=nq, np=npw, mass=mass,
         total=c.alpha * kinetic + c.beta * nq - c.gamma * npw,
     )
-    tau = state.clock if state.model == "conformal" else 0.0
-    e_mod = {}
-    r_mod = {}
-    for a in controls.record_A:
-        e_mod[a] = modified_energy_terms(tau, b, a, params)
-        r_mod[a] = correction_energy_terms(tau, b, a, params)
-    sound = spectral.outside_fraction(a2, g) < TRUNCATION_THRESHOLD
+    tau = clock if model == "conformal" else 0.0
     return DiagRecord(
-        clock=state.clock,
-        mass=b.mass,
+        clock=clock,
+        mass=mass,
         momentum=np.array(momentum),
-        kinetic=b.kinetic,
-        nq=b.nq,
-        np=b.np,
+        kinetic=kinetic,
+        nq=nq,
+        np=npw,
         energy=b.total,
-        e_mod=e_mod,
-        r_mod=r_mod,
-        sound=sound,
-        snapshot=state.field.copy() if want_snapshot else None,
+        e_mod=None if A is None else modified_energy_terms(tau, b, A, params),
+        r_mod=None if A is None else correction_energy_terms(tau, b, A, params),
+        sound=spectral.outside_fraction(a2, grid) < TRUNCATION_THRESHOLD,
+        snapshot=Field(grid, values.copy()) if snapshot else None,
     )
 
 
@@ -287,9 +269,11 @@ def evolve(state, end_clock, controls):
     end_clock.  A truncation-monitor trip marks the trajectory unsound
     from that record onward (records keep accumulating).
 
-    The initial field is transformed once; the steps advance its
-    spectrum, and the physical state is formed only when a record is due.
-    A non-finite spectrum raises EvolutionError with the records so far.
+    The input state is validated once, at its construction, and its
+    field transformed once; the steps advance its spectrum.  A record
+    takes the values ifftn(hat) of the spectrum, and a Field of them only
+    for a snapshot.  A non-finite spectrum raises EvolutionError with the
+    records so far.
     """
     if end_clock <= state.clock:
         raise ValueError("end_clock must exceed the current clock")
@@ -301,19 +285,20 @@ def evolve(state, end_clock, controls):
         stops.append(end_clock)
     snapshot_set = set(float(c) for c in controls.snapshot_clocks)
 
-    grid = state.field.grid
-    stepper = StrangStepper(grid, state.params, state.model, controls.free_flow)
+    grid, params, model, A = state.field.grid, state.params, state.model, controls.A
+    stepper = StrangStepper(grid, params, model, controls.free_flow)
     hat = np.fft.fftn(state.field.values)
     clock = state.clock
-    params = state.params
-    traj = Trajectory(model=state.model, params=params, record_A=tuple(controls.record_A))
-    traj.records.append(_record(state, hat, controls, want_snapshot=clock in snapshot_set))
+    traj = Trajectory(model=model, params=params, A=A)
+    traj.records.append(
+        _record(grid, params, model, clock, hat, state.field.values, A, clock in snapshot_set)
+    )
 
     steps = 0
     for stop in stops:
         while clock < stop - 1e-13:
             dt = controls.dt_base
-            if state.model == "conformal" and controls.adaptive:
+            if model == "conformal":
                 dt = min(dt, controls.c_adapt * (1.0 - clock))
             dt = min(dt, stop - clock)
             stepper.step(hat, clock, dt)
@@ -327,10 +312,9 @@ def evolve(state, end_clock, controls):
             if steps % controls.cadence == 0 or at_stop:
                 if at_stop:
                     clock = stop
-                cur = EvolutionState(Field(grid, np.fft.ifftn(hat)), clock, state.model, params)
-                traj.records.append(
-                    _record(cur, hat, controls, want_snapshot=at_stop and stop in snapshot_set)
-                )
+                snapshot = at_stop and stop in snapshot_set
+                values = np.fft.ifftn(hat)
+                traj.records.append(_record(grid, params, model, clock, hat, values, A, snapshot))
     return traj
 
 

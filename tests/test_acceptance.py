@@ -90,11 +90,11 @@ def test_criterion_03_energy_balance_identity(params, grid512):
 
     def residual(dt, A):
         state = EvolutionState(phi0, 0.0, "conformal", params)
-        traj = evolve(state, 0.9, EvolveControls(dt_base=dt, adaptive=False,
-                                                 cadence=1, record_A=(A,)))
+        traj = evolve(state, 0.9, EvolveControls(dt_base=dt, c_adapt=float("inf"),
+                                                 cadence=1, A=A))
         tau = traj.clocks()
-        ea = traj.e_mod_series(A)
-        ra = traj.r_mod_series(A)
+        ea = traj.series("e_mod")
+        ra = traj.series("r_mod")
         return abs(ea[-1] + np.trapezoid(ra, tau) - ea[0])
 
     ratios = {}
@@ -112,8 +112,8 @@ def test_criterion_04_modified_energy_monotonicity(sparams, grid512, rho1_075):
     phi0 = _gaussian(grid512, rho=0.5 * rho1_075.rho0_est)
     state = EvolutionState(phi0, 0.0, "conformal", sparams)
     traj = evolve(state, 0.99, EvolveControls(dt_base=1e-2, c_adapt=1e-2,
-                                              cadence=10, record_A=(A,)))
-    ea = traj.e_mod_series(A)
+                                              cadence=10, A=A))
+    ea = traj.series("e_mod")
     slack = 1e-6 * abs(ea[0])
     max_excess = float(np.max(ea - ea[0]))
     env = decay_envelopes(traj, A)
@@ -129,7 +129,7 @@ def test_criterion_05_ground_state_non_decay(params, ground_datum):
     A, eps = 0.75, 0.1
     state = EvolutionState(ground_datum.field, 0.0, "conformal", params)
     traj = evolve(state, 0.999, EvolveControls(dt_base=1e-2, c_adapt=1e-2,
-                                               cadence=10, record_A=(A,)))
+                                               cadence=10, A=A))
     cut = traj.unsound_from or len(traj.records)
     assert cut >= 5, "trajectory lost soundness before any dynamics resolved"
     taus = traj.clocks()[:cut]
@@ -140,7 +140,7 @@ def test_criterion_05_ground_state_non_decay(params, ground_datum):
         for prod in (env.kinetic_product, env.nq_product, env.np_product)
     ]
 
-    ea0 = traj.e_mod_series(A)[0]
+    ea0 = traj.records[0].e_mod
     star = np.array(
         [
             split_energy_star_terms(

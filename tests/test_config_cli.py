@@ -1,3 +1,4 @@
+import csv
 import json
 import hashlib
 
@@ -6,6 +7,7 @@ import pytest
 
 from nls_lab import cli
 from nls_lab.config import _SCHEMA, ConfigError, parse_config
+from nls_lab.functionals import EnergyBreakdown, correction_energy_terms, modified_energy_terms
 from nls_lab.grid import field_from_bytes
 
 
@@ -23,7 +25,7 @@ rho = 1.0
 t_max = 0.5
 dt_base = 0.01
 cadence = 10
-A_list = 0.75
+A = 0.75
 snapshot_taus = 0.5
 snapshots = true
 """
@@ -32,7 +34,7 @@ snapshots = true
 def test_parse_valid_config():
     cfg = parse_config(EVOLVE_CFG, "evolve")
     assert cfg.get("model") == "physical"
-    assert cfg.get("A_list") == (0.75,)
+    assert cfg.get("A") == 0.75
     assert cfg.get("snapshots") is True
     assert cfg.grid().n == 256
     assert cfg.model_params().q == 4.0
@@ -359,6 +361,44 @@ def test_cli_rejects_a_key_the_subcommand_does_not_read(tmp_path, capsys, subcom
     assert not (tmp_path / "o.manifest.json").exists()
 
 
+def _evolve_csv(tmp_path, text):
+    """(metadata lines, rows) of the diagnostics CSV of an evolve run."""
+    out = str(tmp_path / "e")
+    assert cli.main(["evolve", "--config", _write(tmp_path, text), "--out", out]) == cli.EXIT_OK
+    lines = open(out + ".diagnostics.csv").read().splitlines()
+    meta = [l for l in lines if l.startswith("#")]
+    return meta, list(csv.DictReader(l for l in lines if not l.startswith("#")))
+
+
+def test_cli_evolve_records_the_modified_energy_of_its_exponent(tmp_path):
+    meta, rows = _evolve_csv(tmp_path, CONFORMAL_CFG)
+    assert meta[0] == "# model=conformal d=1 q=4.0 p=4.5 A=0.75"
+    assert len(rows) > 2
+    params = parse_config(CONFORMAL_CFG, "evolve").model_params()
+    for row in rows:
+        tau, kinetic, nq, npw, mass, energy = (float(row[k]) for k in ("tau", "K", "nq", "np", "mass", "E"))
+        b = EnergyBreakdown(kinetic=kinetic, nq=nq, np=npw, mass=mass, total=energy)
+        assert float(row["E_A"]) == modified_energy_terms(tau, b, 0.75, params)
+        assert float(row["R_A"]) == correction_energy_terms(tau, b, 0.75, params)
+
+
+def test_cli_evolve_without_A_leaves_E_A_and_R_A_blank(tmp_path):
+    meta, rows = _evolve_csv(tmp_path, CONFORMAL_CFG.replace("A = 0.75\n", ""))
+    assert meta[0] == "# model=conformal d=1 q=4.0 p=4.5 A=None"
+    assert rows and all(row["E_A"] == row["R_A"] == "" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [("A = 0.6, 0.75", "A: cannot parse '0.6, 0.75'"), ("A_list = 0.75", "A_list: unknown key")],
+)
+def test_evolve_takes_one_decay_exponent(tmp_path, capsys, line, error):
+    cfg = _write(tmp_path, CONFORMAL_CFG.replace("A = 0.75", line))
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "o.manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "given, missing",
     [
@@ -404,6 +444,7 @@ RANGES = [
     ("dt_base", "evolve", "0", "must be positive", "0.0"),
     ("c_adapt", "scatter", "-1", "must be positive", "-1.0"),
     ("cadence", "evolve", "0", "must be >= 1", "0"),
+    ("A", "evolve", "1.5", "must lie in (0, 1]", "1.5"),
     ("t_max", "evolve", "0", "must be positive", "0.0"),
     ("tau_max", "scatter", "1.5", "must lie in (0, 1)", "1.5"),
     ("bracket_tol", "threshold", "1", "must lie in (0, 1)", "1.0"),

@@ -67,14 +67,25 @@ def test_mass_and_momentum_conservation(psi0, params):
     assert np.max(np.abs(mom - mom[0])) < 1e-10
 
 
-def test_time_reversal(psi0, params):
-    stepper = StrangStepper(psi0.grid, params, "physical")
+def _round_trip_error(psi0, params, model, clock, dt=1e-2, steps=20):
+    """Max deviation from psi0 after steps of dt from clock, then as many
+    of -dt back to clock."""
+    stepper = StrangStepper(psi0.grid, params, model)
     hat = np.fft.fftn(psi0.values)
-    for _ in range(20):
-        stepper.step(hat, 0.0, 1e-2)
-    for _ in range(20):
-        stepper.step(hat, 0.0, 1e-2, reverse=True)
-    assert np.max(np.abs(np.fft.ifftn(hat) - psi0.values)) < 1e-10
+    for step in (dt, -dt):
+        for _ in range(steps):
+            stepper.step(hat, clock, step)
+            clock += step
+    return np.max(np.abs(np.fft.ifftn(hat) - psi0.values))
+
+
+def test_time_reversal(psi0, params):
+    assert _round_trip_error(psi0, params, "physical", 0.0) < 1e-10
+
+
+def test_conformal_time_reversal(psi0, params):
+    # The conformal weights vary with the clock, unlike the physical (dt, dt).
+    assert _round_trip_error(psi0, params, "conformal", 0.3) < 1e-10
 
 
 def test_records_match_their_snapshot_fields(psi0, params):
@@ -195,7 +206,7 @@ def test_truncation_monitor_flags_spreading(psi0, params):
 
 def test_csv_layout(psi0, params):
     st0 = EvolutionState(psi0, 0.0, "conformal", params)
-    traj = evolve(st0, 0.5, EvolveControls(dt_base=1e-2, cadence=20, record_A=(0.75,)))
+    traj = evolve(st0, 0.5, EvolveControls(dt_base=1e-2, cadence=20, A=0.75))
     text = traj.to_csv()
     lines = text.splitlines()
     meta = [l for l in lines if l.startswith("#")]

@@ -4,6 +4,7 @@ import pkgutil
 from pathlib import Path
 
 import nls_lab
+from nls_lab import cli, config
 
 MODULES = ["nls_lab"] + [f"nls_lab.{m.name}" for m in pkgutil.iter_modules(nls_lab.__path__)]
 
@@ -35,3 +36,43 @@ def test_no_unused_imports():
             if (alias.asname or alias.name.split(".")[0]) not in used
         ]
     assert unused == []
+
+
+def test_handlers_read_only_keys_of_their_subcommand():
+    """Every key literal a cli handler passes to cfg.get or cfg.kwargs,
+    itself or through a cli helper it hands cfg, and every key of a
+    mapping such as _CONTROLS that it unpacks into cfg.kwargs, is in the
+    subcommand's config._KEYS row: cfg.kwargs skips a key the config
+    cannot set without a word."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def keys(name, seen):
+        found = set()
+        for node in ast.walk(functions[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "cfg":
+                if f.attr == "get":
+                    found.add(ast.literal_eval(node.args[0]))
+                elif f.attr == "kwargs":
+                    for kw in node.keywords:
+                        if kw.arg is None:  # **mapping, a module-level dict of cli such as _CONTROLS
+                            found |= set(getattr(cli, kw.value.id).values())
+                        else:
+                            found.add(ast.literal_eval(kw.value))
+            elif isinstance(f, ast.Name) and f.id in functions and f.id not in seen:
+                if any(isinstance(a, ast.Name) and a.id == "cfg" for a in node.args):
+                    seen.add(f.id)
+                    found |= keys(f.id, seen)
+        return found
+
+    read = {sub: keys(handler.__name__, {handler.__name__}) for sub, handler in cli._HANDLERS.items()}
+    # The helpers and the unpacked _CONTROLS are followed.
+    assert {"rho", "max_iters", "seed", "snapshot_taus", "A", "tau_max"} <= set().union(*read.values())
+    stray = []
+    for sub, ks in read.items():
+        required, optional = config._KEYS[sub]
+        stray += [f"{sub}: {k}" for k in sorted(ks - {*required, *optional})]
+    assert stray == []
