@@ -79,7 +79,9 @@ _SCHEMA = {
     "coeffs.gamma": (float, "focusing weight", _POSITIVE),
     "bracket_tol": (float, "relative bisection tolerance", _UNIT),
     "A_grid": (_parse_floats, "A grid for rho1", None),
-    "eps_grid": (_parse_floats, "epsilon grid for rho2", None),
+    "eps_grid": (
+        _parse_floats, "epsilon grid for rho2", (lambda v: all(0 < e < 1 for e in v), "entries must lie in (0, 1)")
+    ),
     "max_iters": (int, "flow iteration budget", _at_least(1)),
     "flow_dt": (float, "flow step", _POSITIVE),
     "residual_tol": (float, "flow residual tolerance", _POSITIVE),
@@ -107,8 +109,9 @@ _KEYS = {
     "verify": ((), ("d", "q", "p", "n", "L")),
     "sweep": (("d",), ("sweep.q_count", "sweep.p_count")),
 }
-# An evolve's model decides its clock key, and only a conformal one reads c_adapt.
-_EVOLVE_MODELS = {"physical": ("t_max", {"tau_max", "c_adapt"}), "conformal": ("tau_max", {"t_max"})}
+# An evolve's model decides its clock key, and only a conformal one reads
+# c_adapt and the decay exponent A of its E_A and R_A.
+_EVOLVE_MODELS = {"physical": ("t_max", {"tau_max", "c_adapt", "A"}), "conformal": ("tau_max", {"t_max"})}
 
 SUBCOMMANDS = tuple(_KEYS)
 
@@ -214,6 +217,10 @@ def parse_config(text, subcommand):
     lo = 1 + 2 / d if regime == "scattering" else 1.0
     if q is not None and not lo < q < hi:
         errors.append(f"q: {regime} regime requires {lo} < q < {hi} strictly (got {q})")
+    elif q is not None:
+        # rho1(A) is defined for decay exponents A in (delta(q), 1].
+        dq = (4 - d * (q - 1)) / 2
+        check("A_grid", lambda v: all(dq < a <= 1 for a in v), f"entries must lie in (delta(q) = {dq:g}, 1]")
     if q is not None and p is not None and not q < p < hi:
         errors.append(f"p: requires q < p < {hi} (got {p})")
 

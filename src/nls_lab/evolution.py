@@ -47,8 +47,6 @@ __all__ = [
     "aqp_condition_holds",
 ]
 
-TRUNCATION_THRESHOLD = 1e-6
-
 
 class EvolutionError(RuntimeError):
     """Step failure; carries the trajectory up to the last healthy record."""
@@ -101,17 +99,17 @@ class StrangStepper:
 
     The state is a spectrum, fftn of the field, advanced in place: the
     half linear steps multiply it, and the nonlinear phase acts on its
-    inverse transform, so a step costs 2 FFTs (none under free_flow).
-    The half linear multiplier is built once per dt.  A step of -dt from
+    inverse transform, so a step costs 2 FFTs.  Every step applies the
+    nonlinear phase; conformal.free_propagate is the free group.  The
+    half linear multiplier is built once per dt.  A step of -dt from
     clock + dt undoes a step of dt from clock: the half linear phase and
     the integrated weights both change sign.
     """
 
-    def __init__(self, grid, params, model, free_flow=False):
+    def __init__(self, grid, params, model):
         self.grid = grid
         self.params = params
         self.model = model
-        self.free_flow = free_flow
         self._qm1 = params.q - 1.0
         self._pm1 = params.p - 1.0
         self._k_sq_half = grid.wavenumbers[: grid.n // 2 + 1] ** 2
@@ -142,11 +140,10 @@ class StrangStepper:
         (backward when dt < 0)."""
         half = self._half_linear(dt)
         hat *= half
-        if not self.free_flow:
-            wq, wp = nonlinear_phase_weights(self.model, clock, dt, self.params)
-            values = np.fft.ifftn(hat)
-            backend.nonlinear_phase(values.reshape(-1), self._qm1, self._pm1, wq, wp)
-            hat[...] = np.fft.fftn(values)
+        wq, wp = nonlinear_phase_weights(self.model, clock, dt, self.params)
+        values = np.fft.ifftn(hat)
+        backend.nonlinear_phase(values.reshape(-1), self._qm1, self._pm1, wq, wp)
+        hat[...] = np.fft.fftn(values)
         hat *= half
 
 
@@ -170,16 +167,16 @@ class EvolveControls:
     """Step and record controls of evolve.  A conformal step is
     min(dt_base, c_adapt * (1 - tau)), so c_adapt = inf gives fixed
     dt_base steps; a physical step is dt_base.  A is the decay exponent
-    whose E_A and R_A each record carries, or None for neither.  A record
-    is sound while its spectral truncation fraction is below the module
-    constant TRUNCATION_THRESHOLD, which is not a control."""
+    whose E_A and R_A each record of a conformal run carries, or None
+    for neither; a physical run takes None.  A record is sound while its
+    truncation fraction is below spectral.RESOLVED_FRACTION, which is not
+    a control."""
 
     dt_base: float = 1e-2
     c_adapt: float = 0.01
     cadence: int = 1
     A: float | None = None
     snapshot_clocks: tuple = ()
-    free_flow: bool = False
 
     def __post_init__(self):
         if self.dt_base <= 0 or self.c_adapt <= 0 or self.cadence < 1:
@@ -230,10 +227,11 @@ class Trajectory:
         return buf.getvalue()
 
 
-def _record(grid, params, model, clock, hat, values, A, snapshot):
+def _record(grid, params, clock, hat, values, A, snapshot):
     """Diagnostics at clock of the state with spectrum hat and values
-    ifftn(hat), which evolve has already checked finite.  A Field of the
-    values is built only for a snapshot."""
+    ifftn(hat), which evolve has already checked finite.  E_A and R_A are
+    taken at tau = clock, so A is None unless the run is conformal.  A
+    Field of the values is built only for a snapshot."""
     kinetic, *momentum = spectral.parseval_sums(hat, grid, (grid.k_sq, *grid.k_mesh))
     # One |v|^2 serves the power integrals of the breakdown and the
     # truncation monitor.
@@ -245,7 +243,6 @@ def _record(grid, params, model, clock, hat, values, A, snapshot):
         kinetic=kinetic, nq=nq, np=npw, mass=mass,
         total=c.alpha * kinetic + c.beta * nq - c.gamma * npw,
     )
-    tau = clock if model == "conformal" else 0.0
     return DiagRecord(
         clock=clock,
         mass=mass,
@@ -254,9 +251,9 @@ def _record(grid, params, model, clock, hat, values, A, snapshot):
         nq=nq,
         np=npw,
         energy=b.total,
-        e_mod=None if A is None else modified_energy_terms(tau, b, A, params),
-        r_mod=None if A is None else correction_energy_terms(tau, b, A, params),
-        sound=spectral.outside_fraction(a2, grid) < TRUNCATION_THRESHOLD,
+        e_mod=None if A is None else modified_energy_terms(clock, b, A, params),
+        r_mod=None if A is None else correction_energy_terms(clock, b, A, params),
+        sound=spectral.outside_fraction(a2, grid) < spectral.RESOLVED_FRACTION,
         snapshot=Field(grid, values.copy()) if snapshot else None,
     )
 
@@ -273,12 +270,15 @@ def evolve(state, end_clock, controls):
     field transformed once; the steps advance its spectrum.  A record
     takes the values ifftn(hat) of the spectrum, and a Field of them only
     for a snapshot.  A non-finite spectrum raises EvolutionError with the
-    records so far.
+    records so far.  E_A and R_A are conformal diagnostics: a physical
+    state with controls.A set raises ValueError.
     """
     if end_clock <= state.clock:
         raise ValueError("end_clock must exceed the current clock")
     if state.model == "conformal" and end_clock >= 1:
         raise ValueError("conformal end_clock must stay below 1")
+    if state.model == "physical" and controls.A is not None:
+        raise ValueError("the decay exponent A is read by a conformal evolve only")
 
     stops = sorted(set(float(c) for c in controls.snapshot_clocks if state.clock < c <= end_clock))
     if not stops or stops[-1] < end_clock:
@@ -286,12 +286,12 @@ def evolve(state, end_clock, controls):
     snapshot_set = set(float(c) for c in controls.snapshot_clocks)
 
     grid, params, model, A = state.field.grid, state.params, state.model, controls.A
-    stepper = StrangStepper(grid, params, model, controls.free_flow)
+    stepper = StrangStepper(grid, params, model)
     hat = np.fft.fftn(state.field.values)
     clock = state.clock
     traj = Trajectory(model=model, params=params, A=A)
     traj.records.append(
-        _record(grid, params, model, clock, hat, state.field.values, A, clock in snapshot_set)
+        _record(grid, params, clock, hat, state.field.values, A, clock in snapshot_set)
     )
 
     steps = 0
@@ -314,7 +314,7 @@ def evolve(state, end_clock, controls):
                     clock = stop
                 snapshot = at_stop and stop in snapshot_set
                 values = np.fft.ifftn(hat)
-                traj.records.append(_record(grid, params, model, clock, hat, values, A, snapshot))
+                traj.records.append(_record(grid, params, clock, hat, values, A, snapshot))
     return traj
 
 

@@ -3,7 +3,7 @@
 import io
 import struct
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -129,9 +129,6 @@ class Field:
             raise ValueError("field contains NaN or Inf")
         self.values = values
 
-    def copy(self):
-        return Field(self.grid, self.values.copy())
-
     def with_values(self, values):
         return Field(self.grid, values)
 
@@ -140,10 +137,8 @@ class Field:
 class AnalyticProfile:
     """Closed-form seed profile: amplitude * envelope(r) * exp(i c r^2).
 
-    kind is 'gaussian' (envelope exp(-r^2 / 2 w^2)), 'sech'
-    (envelope sech(r / w)), or 'ground-state-snapshot' (a stored Field,
-    optionally rescaled in amplitude and re-chirped).  r is the distance
-    from the center offset.
+    kind is 'gaussian' (envelope exp(-r^2 / 2 w^2)) or 'sech' (envelope
+    sech(r / w)).  r is the distance from the center offset.
     """
 
     kind: str
@@ -151,36 +146,24 @@ class AnalyticProfile:
     width: float = 1.0
     chirp: float = 0.0
     center: tuple = (0.0,)
-    samples: Field | None = dc_field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "sech", "ground-state-snapshot"):
+        if self.kind not in ("gaussian", "sech"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
         if not self.width > 0:
             raise ValueError("width must be positive")
-        if self.kind == "ground-state-snapshot" and self.samples is None:
-            raise ValueError("snapshot profile needs samples")
         if np.isscalar(self.center):
             object.__setattr__(self, "center", (float(self.center),))
 
 
 def eval_profile(grid, profile):
-    """Sample a profile on a grid.
+    """Sample a closed-form profile on a grid.
 
     Emits a ResolutionWarning when the width is under-resolved (w < 4h)
     or poorly contained (w > L/8); the field is still returned.
     """
-    if profile.kind == "ground-state-snapshot":
-        snap = profile.samples
-        if snap.grid != grid:
-            raise ValueError("snapshot profile was sampled on a different grid")
-        vals = profile.amplitude * snap.values
-        if profile.chirp != 0.0:
-            vals = vals * np.exp(1j * profile.chirp * grid.x_sq)
-        return Field(grid, vals)
-
     w = profile.width
     if w < 4 * grid.h or w > grid.L / 8:
         warnings.warn(

@@ -83,10 +83,10 @@ class RescaleReport:
 
 
 def rescale(profile, exponent_a, lam, d=1):
+    """The closed-form profile lambda^a u(lambda x) in d dimensions:
+    amplitude, width, chirp and center change, the kind stays."""
     if lam <= 0:
         raise ValueError(f"scaling parameter must be positive, got {lam}")
-    if profile.kind == "ground-state-snapshot":
-        raise ValueError("rescale acts on closed-form profiles only")
     scaled = replace(
         profile,
         amplitude=lam**exponent_a * profile.amplitude,
@@ -247,11 +247,9 @@ def _dilation_fit(params, coeffs, rho, seed):
     negative minimum at s*, the seed is dilated to it and the box spans
     default_grid(d).L dilated seed widths at the default n, as the default
     box spans a unit-width seed; otherwise default_grid(params.d) and
-    the seed are kept, as they are for a ground-state-snapshot seed.
+    the seed are kept.
     """
     base = default_grid(params.d)
-    if seed.kind == "ground-state-snapshot":
-        return base, seed
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         b = breakdown(spectral.normalize(eval_profile(base, seed), rho), params, coeffs)
@@ -506,7 +504,7 @@ def _start_row(params, grid, coeffs, rho, seed, opts):
     grid at mass rho^2, as a flattened real array, and its coefficients,
     energy, step and the scales of its stopping tests.  The flow keeps a
     real state real, and steps real rows only: a seed whose samples are
-    not real (a chirp, a complex snapshot) raises ValueError."""
+    not real (a chirp) raises ValueError."""
     if rho <= 0:
         raise ValueError(f"mass-sphere radius must be positive, got {rho}")
     with warnings.catch_warnings():
@@ -615,15 +613,15 @@ def _finish(params, grid, opts, it, rows, j):
         # A compact minimizer must keep the boundary shell quiet; a
         # spreading run populates it by construction, so the monitor
         # gates only the negative classification.
-        sound = bool(rows.worst[j] < 1e-6)
+        sound = bool(rows.worst[j] < spectral.RESOLVED_FRACTION)
         if polished:
             # A sub-grid spike is a stationary point of the discrete
             # problem too; only a quiet spectral edge tells it apart.
             sound = (
                 sound
                 and stopped
-                and spectral.truncation_fraction(final) < 1e-6
-                and spectral.spectral_tail_fraction(final) < 1e-6
+                and spectral.truncation_fraction(final) < spectral.RESOLVED_FRACTION
+                and spectral.spectral_tail_fraction(final) < spectral.RESOLVED_FRACTION
             )
     elif -tol_neg < energy < rows.tol_spread[j] and width >= rows.spread_target[j]:
         classification = "spread_to_zero_energy"

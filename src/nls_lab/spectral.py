@@ -18,6 +18,7 @@ from . import backend
 
 __all__ = [
     "MOMENTUM_CONVENTION",
+    "RESOLVED_FRACTION",
     "lp_norm",
     "mass",
     "l2_norm",
@@ -117,6 +118,12 @@ def rms_width(field):
     if m == 0:
         return 0.0
     return weighted_l2(field) / np.sqrt(m)
+
+
+# A state counts as resolved while its truncation fraction (mass outside
+# the core box) and, where it is checked, its spectral tail fraction stay
+# below this bound.
+RESOLVED_FRACTION = 1e-6
 
 
 def truncation_fraction(field):

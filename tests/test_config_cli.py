@@ -25,7 +25,6 @@ rho = 1.0
 t_max = 0.5
 dt_base = 0.01
 cadence = 10
-A = 0.75
 snapshot_taus = 0.5
 snapshots = true
 """
@@ -34,7 +33,6 @@ snapshots = true
 def test_parse_valid_config():
     cfg = parse_config(EVOLVE_CFG, "evolve")
     assert cfg.get("model") == "physical"
-    assert cfg.get("A") == 0.75
     assert cfg.get("snapshots") is True
     assert cfg.grid().n == 256
     assert cfg.model_params().q == 4.0
@@ -331,7 +329,30 @@ def test_cli_named_thresholds_run(tmp_path):
         assert hashlib.sha256(payload).hexdigest() == digest
 
 
-CONFORMAL_CFG = EVOLVE_CFG.replace("model = physical", "model = conformal").replace("t_max", "tau_max")
+def test_named_thresholds_grid_lists_out_of_range_are_config_errors(tmp_path, capsys):
+    """rho1(A) needs every A_grid entry in (delta(q), 1], here (0.5, 1],
+    and rho2(eps) every eps_grid entry in (0, 1): both lists are checked
+    with the rest of the config, before any bisection runs."""
+    text = NAMED_CFG + "A_grid = 0.1\neps_grid = 1.5\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, "named-thresholds")
+    assert exc.value.errors == [
+        "A_grid: entries must lie in (delta(q) = 0.5, 1] (got (0.1,))",
+        "eps_grid: entries must lie in (0, 1) (got (1.5,))",
+    ]
+    with pytest.raises(ConfigError):
+        parse_config(NAMED_CFG + "A_grid = 0.5, 1.0\n", "named-thresholds")
+    parse_config(NAMED_CFG + "A_grid = 0.51, 1.0\neps_grid = 0.4\n", "named-thresholds")
+    cfg = _write(tmp_path, text)
+    assert cli.main(["named-thresholds", "--config", cfg, "--out", str(tmp_path / "n")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "A_grid: entries" in err and "eps_grid: entries" in err
+    assert not (tmp_path / "n.manifest.json").exists()
+
+
+CONFORMAL_CFG = (
+    EVOLVE_CFG.replace("model = physical", "model = conformal").replace("t_max", "tau_max") + "A = 0.75\n"
+)
 THRESHOLD_CFG = "d = 1\nq = 4\np = 4.5\ncoeffs.alpha = 0.5\ncoeffs.beta = 0.2\ncoeffs.gamma = 0.2\n"
 NAMED_CFG = "d = 1\nq = 4\np = 4.5\n"
 UNREAD = [
@@ -342,6 +363,7 @@ UNREAD = [
     ("evolve", CONFORMAL_CFG, "t_max = 0.5"),
     ("evolve", EVOLVE_CFG, "c_adapt = 0.01"),
     ("evolve", EVOLVE_CFG, "tau_max = 0.5"),
+    ("evolve", EVOLVE_CFG, "A = 0.75"),
     ("scatter", SCATTER_CFG, "t_max = 1"),
     ("verify", "n = 256\n", "rho = 1"),
     ("sweep", "d = 1\n", "q = 4"),
@@ -432,7 +454,7 @@ def test_center_needs_one_or_d_components(tmp_path, capsys):
     assert [m.split(":")[0] for m in exc.value.errors] == ["center"]
 
 
-# (key, subcommand, out-of-range value, message, the value as parsed)
+# (key, valid config, out-of-range value, message, the value as parsed)
 RANGES = [
     ("model", "evolve", "orbital", "must be physical or conformal", "orbital"),
     ("d", "threshold", "0", "must be 1, 2 or 3", "0"),
@@ -444,10 +466,11 @@ RANGES = [
     ("dt_base", "evolve", "0", "must be positive", "0.0"),
     ("c_adapt", "scatter", "-1", "must be positive", "-1.0"),
     ("cadence", "evolve", "0", "must be >= 1", "0"),
-    ("A", "evolve", "1.5", "must lie in (0, 1]", "1.5"),
+    ("A", "conformal evolve", "1.5", "must lie in (0, 1]", "1.5"),
     ("t_max", "evolve", "0", "must be positive", "0.0"),
     ("tau_max", "scatter", "1.5", "must lie in (0, 1)", "1.5"),
     ("bracket_tol", "threshold", "1", "must lie in (0, 1)", "1.0"),
+    ("eps_grid", "named-thresholds", "0.4, 1.5", "entries must lie in (0, 1)", "(0.4, 1.5)"),
     ("max_iters", "groundstate", "0", "must be >= 1", "0"),
     ("flow_dt", "groundstate", "0", "must be positive", "0.0"),
     ("residual_tol", "groundstate", "-1e-3", "must be positive", "-0.001"),
@@ -457,12 +480,15 @@ RANGES = [
     ("sweep.q_count", "sweep", "1", "must be >= 2", "1"),
     ("sweep.p_count", "sweep", "0", "must be >= 2", "0"),
 ]
+# name -> (subcommand, config)
 VALID = {
-    "evolve": EVOLVE_CFG,
-    "scatter": SCATTER_CFG,
-    "threshold": THRESHOLD_CFG,
-    "groundstate": NAMED_CFG + "rho = 0.5\n",
-    "sweep": "d = 1\n",
+    "evolve": ("evolve", EVOLVE_CFG),
+    "conformal evolve": ("evolve", CONFORMAL_CFG),
+    "scatter": ("scatter", SCATTER_CFG),
+    "threshold": ("threshold", THRESHOLD_CFG),
+    "named-thresholds": ("named-thresholds", NAMED_CFG),
+    "groundstate": ("groundstate", NAMED_CFG + "rho = 0.5\n"),
+    "sweep": ("sweep", "d = 1\n"),
 }
 
 
@@ -470,10 +496,11 @@ def test_every_single_value_rule_has_a_range_case():
     assert {key for key, (_, _, rule) in _SCHEMA.items() if rule} == {row[0] for row in RANGES}
 
 
-@pytest.mark.parametrize("key, subcommand, value, message, got", RANGES, ids=[row[0] for row in RANGES])
-def test_out_of_range_value_names_its_key_and_rule(key, subcommand, value, message, got):
-    parse_config(VALID[subcommand], subcommand)
+@pytest.mark.parametrize("key, config, value, message, got", RANGES, ids=[row[0] for row in RANGES])
+def test_out_of_range_value_names_its_key_and_rule(key, config, value, message, got):
+    subcommand, text = VALID[config]
+    parse_config(text, subcommand)
     # A later line sets the key over the valid config's own value.
     with pytest.raises(ConfigError) as exc:
-        parse_config(VALID[subcommand] + f"{key} = {value}\n", subcommand)
+        parse_config(text + f"{key} = {value}\n", subcommand)
     assert [m for m in exc.value.errors if m.startswith(f"{key}:")] == [f"{key}: {message} (got {got})"]

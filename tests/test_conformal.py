@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from nls_lab import conformal, spectral
+from nls_lab import backend, conformal, spectral
 from nls_lab.evolution import EvolutionState, EvolveControls, evolve
 from nls_lab.grid import AnalyticProfile, eval_profile
 from oracles import free_gaussian
@@ -86,7 +88,7 @@ def test_free_propagate_group_property(psi0):
     assert np.max(np.abs(a.values - b.values)) < 1e-13
 
 
-def _small_mass_trajectory(grid, params, rho=0.3, free_flow=False):
+def _small_mass_trajectory(grid, params, rho=0.3):
     phi0 = spectral.normalize(
         eval_profile(grid, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0)), rho
     )
@@ -96,7 +98,6 @@ def _small_mass_trajectory(grid, params, rho=0.3, free_flow=False):
         c_adapt=1e-2,
         cadence=10,
         snapshot_clocks=(0.9, 0.95, 0.99, 0.995, 0.999),
-        free_flow=free_flow,
     )
     return evolve(state, 0.999, controls)
 
@@ -112,7 +113,9 @@ def test_scattering_probe_small_mass(grid512, sparams):
 
 
 def test_scattering_probe_free_flow_is_exact(grid512, sparams):
-    traj = _small_mass_trajectory(grid512, sparams, free_flow=True)
+    # A no-op nonlinear phase leaves each step the free group.
+    with mock.patch.object(backend, "nonlinear_phase", lambda *args: None):
+        traj = _small_mass_trajectory(grid512, sparams)
     rep = conformal.scattering_probe(traj)
     assert rep.verdict == "scattering_consistent"
     assert rep.residuals.max() < 1e-12

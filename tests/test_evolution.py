@@ -1,23 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nls_lab import conformal, spectral
+from nls_lab import backend, conformal, spectral
 from nls_lab.evolution import (
     EvolutionError,
     EvolutionState,
     EvolveControls,
     StrangStepper,
-    Trajectory,
     aqp_condition_holds,
     aqp_condition_rhs,
     decay_envelopes,
     evolve,
     nonlinear_phase_weights,
 )
-from nls_lab.functionals import ModelParams, breakdown
+from nls_lab.functionals import breakdown
 from nls_lab.grid import AnalyticProfile, Grid, eval_profile
 
 
@@ -33,6 +34,14 @@ def test_state_validation(psi0, params):
         EvolutionState(psi0, 1.0, "conformal", params)
     with pytest.raises(ValueError):
         EvolutionState(psi0, -0.1, "physical", params)
+
+
+def test_physical_evolve_takes_no_decay_exponent(psi0, params):
+    """E_A and R_A are taken along the conformal clock, so a physical
+    run has no decay exponent to record."""
+    st0 = EvolutionState(psi0, 0.0, "physical", params)
+    with pytest.raises(ValueError, match="conformal"):
+        evolve(st0, 0.1, EvolveControls(A=0.75))
 
 
 def test_physical_weights_are_dt(params):
@@ -178,8 +187,9 @@ def test_strang_is_second_order(psi0, params):
 
 def test_free_flow_matches_free_propagate(psi0, params):
     st0 = EvolutionState(psi0, 0.0, "physical", params)
-    traj = evolve(st0, 0.5, EvolveControls(dt_base=1e-2, cadence=10**6, free_flow=True,
-                                           snapshot_clocks=(0.5,)))
+    # A no-op nonlinear phase leaves each step the free group.
+    with mock.patch.object(backend, "nonlinear_phase", lambda *args: None):
+        traj = evolve(st0, 0.5, EvolveControls(dt_base=1e-2, cadence=10**6, snapshot_clocks=(0.5,)))
     _, snap = traj.snapshots()[0]
     expect = conformal.free_propagate(psi0, 0.5)
     assert np.max(np.abs(snap.values - expect.values)) < 1e-11
@@ -198,7 +208,8 @@ def test_snapshots_land_exactly(psi0, params):
 
 def test_truncation_monitor_flags_spreading(psi0, params):
     st0 = EvolutionState(psi0, 0.0, "physical", params)
-    traj = evolve(st0, 60.0, EvolveControls(dt_base=5e-2, cadence=50, free_flow=True))
+    with mock.patch.object(backend, "nonlinear_phase", lambda *args: None):
+        traj = evolve(st0, 60.0, EvolveControls(dt_base=5e-2, cadence=50))
     assert not traj.sound
     assert traj.unsound_from is not None
     assert all(r.sound for r in traj.records[: traj.unsound_from])

@@ -20,14 +20,17 @@ def test_every_all_entry_resolves():
 
 
 def test_no_unused_imports():
-    """Every name a module of nls_lab imports is used in it or listed in
-    its __all__."""
-    unused = []
+    """Every name a module of nls_lab or a test file imports is used in
+    it or listed in its __all__."""
+    sources = []
     for name in MODULES:
         module = importlib.import_module(name)
-        tree = ast.parse(Path(module.__file__).read_text())
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        used |= set(getattr(module, "__all__", ()))
+        sources.append((name, Path(module.__file__), set(getattr(module, "__all__", ()))))
+    sources += [(path.name, path, set()) for path in sorted(Path(__file__).parent.glob("*.py"))]
+    unused = []
+    for name, path, exported in sources:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
         unused += [
             f"{name}: {alias.asname or alias.name.split('.')[0]}"
             for node in ast.walk(tree)

@@ -101,19 +101,6 @@ def test_profile_validation():
         AnalyticProfile(kind="ground-state-snapshot")
 
 
-def test_snapshot_profile_rescale_and_grid_mismatch():
-    g = Grid(d=1, n=32, L=8.0)
-    base = eval_profile(g, AnalyticProfile(kind="gaussian", amplitude=1.0, width=1.0))
-    prof = AnalyticProfile(
-        kind="ground-state-snapshot", amplitude=3.0, width=1.0, samples=base
-    )
-    f = eval_profile(g, prof)
-    assert np.allclose(f.values, 3.0 * base.values)
-    other = Grid(d=1, n=64, L=8.0)
-    with pytest.raises(ValueError):
-        eval_profile(other, prof)
-
-
 def test_binary_roundtrip_and_header_layout():
     g = Grid(d=1, n=32, L=8.0)
     rng = np.random.default_rng(0)

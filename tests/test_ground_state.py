@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from nls_lab import backend, spectral
+from nls_lab import backend
 from nls_lab import ground_state as gs
 from nls_lab.functionals import CoeffTriple, ModelParams, breakdown
 from nls_lab.grid import AnalyticProfile, Grid, ResolutionWarning, eval_profile
@@ -43,13 +43,6 @@ def test_rescale_guards():
     prof = AnalyticProfile(kind="gaussian", amplitude=1.0, width=1.0)
     with pytest.raises(ValueError):
         gs.rescale(prof, 0.5, -1.0)
-    g = Grid(d=1, n=32, L=8.0)
-    snap = AnalyticProfile(
-        kind="ground-state-snapshot",
-        samples=eval_profile(g, prof),
-    )
-    with pytest.raises(ValueError):
-        gs.rescale(snap, 0.5, 2.0)
 
 
 # ----------------------------------------------------------------- flow

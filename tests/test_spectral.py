@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nls_lab import backend, spectral
-from nls_lab.grid import AnalyticProfile, Field, Grid, eval_profile
+from nls_lab.grid import AnalyticProfile, Grid, eval_profile
 
 
 @pytest.fixture
