@@ -22,14 +22,12 @@ from .evolution import EvolutionError, EvolveControls, EvolutionState, StrangSte
 from .functionals import ModelParams, energy_coeffs
 from .grid import AnalyticProfile, eval_profile, field_to_bytes
 from .ground_state import BracketingError, FlowOptions
-from .spectral import AliasingError
 
 EXIT_OK = 0
 EXIT_OTHER = 1
 EXIT_CONFIG = 2
 EXIT_BRACKETING = 3
 EXIT_EVOLUTION = 4
-EXIT_ALIASING = 5
 EXIT_VERIFY = 6
 
 
@@ -205,8 +203,7 @@ def cmd_verify(cfg, emit):
     rev_err = float(np.max(np.abs(np.fft.ifftn(hat) - psi0.values)))
     checks.append(("time_reversal", rev_err < 1e-10))
 
-    pair = conformal.make_pair(psi0, 0.0)
-    rep = conformal.verify_norm_identities(pair)
+    rep = conformal.verify_norm_identities(psi0, 0.0)
     checks.append(("norm_identities_t0", rep.max_residual() < 1e-12))
 
     u = conformal.free_propagate(psi0, 0.7)
@@ -265,7 +262,6 @@ _EXIT_CODES = (
     (ConfigError, EXIT_CONFIG),
     (BracketingError, EXIT_BRACKETING),
     (EvolutionError, EXIT_EVOLUTION),
-    (AliasingError, EXIT_ALIASING),
     (VerifyFailure, EXIT_VERIFY),
     (ValueError, EXIT_OTHER),
     (RuntimeError, EXIT_OTHER),

@@ -85,7 +85,7 @@ _SCHEMA = {
     "max_iters": (int, "flow iteration budget", _at_least(1)),
     "flow_dt": (float, "flow step", _POSITIVE),
     "residual_tol": (float, "flow residual tolerance", _POSITIVE),
-    "seed": (int, "RNG seed for seed-profile jitter", None),
+    "seed": (int, "RNG seed for seed-profile jitter", _at_least(0)),
     "out_prefix": (str, "output path prefix", None),
     "sweep.q_count": (int, "sweep grid size in q", _at_least(2)),
     "sweep.p_count": (int, "sweep grid size in p", _at_least(2)),
@@ -162,6 +162,8 @@ def parse_config(text, subcommand):
         raise ConfigError([f"unknown subcommand {subcommand!r}"])
     errors = []
     values = {}
+    # key -> the line that set it: a key may be set once.
+    line_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,6 +177,10 @@ def parse_config(text, subcommand):
         if key not in _SCHEMA:
             errors.append(f"{key}: unknown key")
             continue
+        if key in line_of:
+            errors.append(f"{key}: set on line {line_of[key]} and again on line {lineno}")
+            continue
+        line_of[key] = lineno
         conv, desc, _ = _SCHEMA[key]
         try:
             values[key] = conv(val)

@@ -18,7 +18,6 @@ from .grid import Field
 __all__ = [
     "time_map",
     "inverse_time_map",
-    "ConformalPair",
     "to_conformal",
     "from_conformal",
     "chirp",
@@ -48,18 +47,6 @@ def chirp(field, coefficient):
     return field.with_values(field.values * np.exp(1j * coefficient * field.grid.x_sq))
 
 
-@dataclass
-class ConformalPair:
-    psi: Field
-    t: float
-    phi: Field
-    tau: float
-
-    def __post_init__(self):
-        if abs(self.tau - time_map(self.t)) > 1e-14:
-            raise ValueError("clocks are not related by tau = t/(1+t)")
-
-
 def to_conformal(psi, t):
     """(psi, t) -> (phi, tau).  The spatial dilation uses spectrally exact
     trig interpolation; points landing outside the box are zeroed (the
@@ -82,11 +69,6 @@ def from_conformal(phi, tau):
         s ** (-phi.grid.d / 2) * resampled.values * np.exp(0.25j * phi.grid.x_sq / s)
     )
     return psi, t
-
-
-def make_pair(psi, t):
-    phi, tau = to_conformal(psi, t)
-    return ConformalPair(psi=psi, t=t, phi=phi, tau=tau)
 
 
 def j_norm(psi, t):
@@ -114,31 +96,33 @@ class NormIdentityReport:
         return max(self.l2, self.lr, self.variance, self.gradient)
 
 
-def verify_norm_identities(pair):
-    """Check, at relative precision and with r = 4:
+def verify_norm_identities(psi, t):
+    """Check, for phi = to_conformal(psi, t), at relative precision and
+    with r = 4:
       ||phi||_2 = ||psi||_2
       ||phi||_r^r = (1+t)^{-d + dr/2} ||psi||_r^r
       || |xi| phi ||_2 = (1+t)^{-1} || |x| psi ||_2
       ||grad phi||_2 = ||J(1+t) psi||_2
     """
+    phi, _ = to_conformal(psi, t)
     r = 4.0
-    s = 1.0 + pair.t
-    d = pair.psi.grid.d
+    s = 1.0 + t
+    d = psi.grid.d
 
-    l2_phi = spectral.l2_norm(pair.phi)
-    l2_psi = spectral.l2_norm(pair.psi)
+    l2_phi = spectral.l2_norm(phi)
+    l2_psi = spectral.l2_norm(psi)
     res_l2 = abs(l2_phi - l2_psi) / l2_psi
 
-    lr_phi = spectral.lp_norm(pair.phi, r) ** r
-    lr_psi = spectral.lp_norm(pair.psi, r) ** r
+    lr_phi = spectral.lp_norm(phi, r) ** r
+    lr_psi = spectral.lp_norm(psi, r) ** r
     res_lr = abs(lr_phi - s ** (-d + d * r / 2) * lr_psi) / lr_phi
 
-    var_phi = spectral.weighted_l2(pair.phi)
-    var_psi = spectral.weighted_l2(pair.psi)
+    var_phi = spectral.weighted_l2(phi)
+    var_psi = spectral.weighted_l2(psi)
     res_var = abs(var_phi - var_psi / s) / var_phi
 
-    grad_phi = np.sqrt(spectral.gradient_sq_norm(pair.phi))
-    jn = j_norm(pair.psi, pair.t)
+    grad_phi = np.sqrt(spectral.gradient_sq_norm(phi))
+    jn = j_norm(psi, t)
     res_grad = abs(grad_phi - jn) / jn
 
     return NormIdentityReport(l2=res_l2, lr=res_lr, variance=res_var, gradient=res_grad)

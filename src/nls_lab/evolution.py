@@ -168,9 +168,9 @@ class EvolveControls:
     min(dt_base, c_adapt * (1 - tau)), so c_adapt = inf gives fixed
     dt_base steps; a physical step is dt_base.  A is the decay exponent
     whose E_A and R_A each record of a conformal run carries, or None
-    for neither; a physical run takes None.  A record is sound while its
-    truncation fraction is below spectral.RESOLVED_FRACTION, which is not
-    a control."""
+    for neither; it must be nonnegative, and a physical run takes None.
+    A record is sound while its truncation fraction is below
+    spectral.RESOLVED_FRACTION, which is not a control."""
 
     dt_base: float = 1e-2
     c_adapt: float = 0.01
@@ -181,6 +181,8 @@ class EvolveControls:
     def __post_init__(self):
         if self.dt_base <= 0 or self.c_adapt <= 0 or self.cadence < 1:
             raise ValueError("need dt_base > 0, c_adapt > 0, cadence >= 1")
+        if self.A is not None and self.A < 0:
+            raise ValueError(f"the decay exponent A must be nonnegative, got {self.A}")
 
 
 @dataclass

@@ -20,9 +20,7 @@ __all__ = [
     "EnergyBreakdown",
     "breakdown",
     "energy_coeffs",
-    "pohozaev",
     "pohozaev_terms",
-    "modified_energy",
     "modified_energy_terms",
     "correction_energy_terms",
     "split_energy_star_terms",
@@ -135,10 +133,6 @@ def pohozaev_terms(b, params, coeffs):
     )
 
 
-def pohozaev(field, params, coeffs):
-    return pohozaev_terms(breakdown(field, params, coeffs), params, coeffs)
-
-
 def _check_tau(tau):
     if not 0 <= tau < 1:
         raise ValueError(f"conformal time must lie in [0, 1), got {tau}")
@@ -153,13 +147,6 @@ def modified_energy_terms(tau, b, A, params):
         + s ** (A - dq) / (params.q + 1) * b.nq
         - s ** (A - dp) / (params.p + 1) * b.np
     )
-
-
-def modified_energy(tau, field, A, params):
-    """E_A(tau, u): the (1-tau)-weighted energy."""
-    if A < 0:
-        raise ValueError("A must be nonnegative")
-    return modified_energy_terms(tau, breakdown(field, params), A, params)
 
 
 def correction_energy_terms(tau, b, A, params):

@@ -18,8 +18,6 @@ from .functionals import CoeffTriple, breakdown, energy_coeffs
 from .grid import AnalyticProfile, Field, Grid, eval_profile
 
 __all__ = [
-    "RescaleReport",
-    "rescale",
     "FlowOptions",
     "MinimizeResult",
     "minimize_on_sphere",
@@ -50,9 +48,10 @@ SEED_WIDTHS = (1.0, 3.0, 8.0)
 SPREAD_FACTOR = 4.0
 STALL_WINDOW = 60
 STALL_FACTOR = 0.999
-# A flow's negativity tolerance tol_neg at mass rho^2 (_start_row), as
-# .threshold.json records it.
+# A flow's negativity tolerance tol_neg at mass rho^2, as .threshold.json
+# records it; _start_row evaluates this very expression.
 TOL_NEG_RULE = "1e-6 * rho**2"
+_TOL_NEG = compile(TOL_NEG_RULE, "TOL_NEG_RULE", "eval")
 
 
 def default_grid(d):
@@ -64,43 +63,6 @@ def default_grid(d):
     named_thresholds always use it.
     """
     return Grid(d=d, n=512, L=64.0)
-
-
-@dataclass(frozen=True)
-class RescaleReport:
-    """lambda^a u(lambda x) with predicted scale factors for the mass and
-    each energy term (potential term of exponent r scales by
-    lambda^{(r+1)a - d})."""
-
-    profile: AnalyticProfile
-    exponent_a: float
-    lam: float
-    mass_factor: float
-    kinetic_factor: float
-
-    def potential_factor(self, r, d):
-        return self.lam ** ((r + 1) * self.exponent_a - d)
-
-
-def rescale(profile, exponent_a, lam, d=1):
-    """The closed-form profile lambda^a u(lambda x) in d dimensions:
-    amplitude, width, chirp and center change, the kind stays."""
-    if lam <= 0:
-        raise ValueError(f"scaling parameter must be positive, got {lam}")
-    scaled = replace(
-        profile,
-        amplitude=lam**exponent_a * profile.amplitude,
-        width=profile.width / lam,
-        chirp=profile.chirp * lam**2,
-        center=tuple(c / lam for c in profile.center),
-    )
-    return RescaleReport(
-        profile=scaled,
-        exponent_a=exponent_a,
-        lam=lam,
-        mass_factor=lam ** (2 * exponent_a - d),
-        kinetic_factor=lam ** (2 * exponent_a - d + 2),
-    )
 
 
 @dataclass(frozen=True)
@@ -244,10 +206,12 @@ def _dilation_fit(params, coeffs, rho, seed):
     Under the mass-preserving dilation u -> s^{-d/2} u(x/s) the energy is
     E(s) = alpha K / s^2 + beta nq s^{-d(q-1)/2} - gamma np s^{-d(p-1)/2},
     closed-form in the raw integrals of one breakdown.  When E(s) has a
-    negative minimum at s*, the seed is dilated to it and the box spans
-    default_grid(d).L dilated seed widths at the default n, as the default
-    box spans a unit-width seed; otherwise default_grid(params.d) and
-    the seed are kept.
+    negative minimum at s* = 1/lam, the seed is dilated to it, as
+    lam^{d/2} u(lam x): amplitude times lam^{d/2}, width and center over
+    lam (a chirp needs no scaling, since the flow takes real seeds only).
+    The box then spans default_grid(d).L dilated seed widths at the
+    default n, as the default box spans a unit-width seed; otherwise
+    default_grid(params.d) and the seed are kept.
     """
     base = default_grid(params.d)
     with warnings.catch_warnings():
@@ -263,7 +227,11 @@ def _dilation_fit(params, coeffs, rho, seed):
     i = int(np.argmin(curve))
     if curve[i] >= 0 or i in (0, lam.size - 1):
         return base, seed
-    scaled = rescale(seed, d / 2, float(lam[i]), d).profile
+    lam = float(lam[i])
+    scaled = replace(
+        seed, amplitude=lam ** (d / 2) * seed.amplitude, width=seed.width / lam,
+        center=tuple(c / lam for c in seed.center),
+    )
     return Grid(d=d, n=base.n, L=base.L * scaled.width), scaled
 
 
@@ -512,7 +480,7 @@ def _start_row(params, grid, coeffs, rho, seed, opts):
         field = spectral.normalize(eval_profile(grid, seed), rho)
     if np.any(field.values.imag):
         raise ValueError(f"the flow needs a real seed; {seed.kind} seed has complex samples")
-    tol_neg = 1e-6 * rho**2
+    tol_neg = eval(_TOL_NEG, {"rho": rho})
     width0 = spectral.rms_width(field)
     # The box caps the rms width near L/sqrt(12), so the 4x growth target
     # saturates at a box fraction for wide seeds.
@@ -559,11 +527,7 @@ def _checkpoint(s, c, hat, k_sq, grid, params, opts):
     )
     s.residual[c] = _defect(vals, g, grid.cell_volume)
     energy = s.energy[c]
-    spread = (
-        (-s.tol_neg[c] < energy)
-        & (energy < s.tol_spread[c])
-        & (_rms_width(vals * vals, grid) >= s.spread_target[c])
-    )
+    spread = _spreading(s, c, energy, _rms_width(vals * vals, grid))
     recent_drop = s.history[c, np.maximum(s.count[c] - STALL_WINDOW, 0) % (STALL_WINDOW + 1)] - energy
     scale = np.maximum(np.abs(s.energy0[c] - energy), s.tol_neg[c])
     stall = (
@@ -572,6 +536,13 @@ def _checkpoint(s, c, hat, k_sq, grid, params, opts):
         & (recent_drop < (1 - STALL_FACTOR) * scale)
     )
     return (s.residual[c] < opts.residual_tol) | spread | stall
+
+
+def _spreading(rows, i, energy, width):
+    """The zero-branch spreading signature of rows i of rows at the given
+    energy and rms width: -tol_neg < energy < tol_spread and width >=
+    spread_target, row by row."""
+    return (-rows.tol_neg[i] < energy) & (energy < rows.tol_spread[i]) & (width >= rows.spread_target[i])
 
 
 def _rms_width(a2, grid):
@@ -623,7 +594,7 @@ def _finish(params, grid, opts, it, rows, j):
                 and spectral.truncation_fraction(final) < spectral.RESOLVED_FRACTION
                 and spectral.spectral_tail_fraction(final) < spectral.RESOLVED_FRACTION
             )
-    elif -tol_neg < energy < rows.tol_spread[j] and width >= rows.spread_target[j]:
+    elif _spreading(rows, j, energy, width):
         classification = "spread_to_zero_energy"
     elif abs(energy) <= tol_neg and residual < opts.residual_tol:
         classification = "spread_to_zero_energy"

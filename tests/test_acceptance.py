@@ -76,7 +76,7 @@ def test_criterion_02_norm_identity_suite(params, grid512):
     worst = {}
     for t in (0.0, 0.5, 1.0, 3.0):
         psi_t = conformal.free_propagate(psi0, t) if t > 0 else psi0
-        rep = conformal.verify_norm_identities(conformal.make_pair(psi_t, t))
+        rep = conformal.verify_norm_identities(psi_t, t)
         worst[t] = rep.max_residual()
     ok = worst[0.0] < 1e-12 and all(v < 1e-6 for v in worst.values())
     _report(2, "pseudo-conformal identity suite", ok,

@@ -421,6 +421,19 @@ def test_evolve_takes_one_decay_exponent(tmp_path, capsys, line, error):
     assert not (tmp_path / "o.manifest.json").exists()
 
 
+def test_a_key_set_twice_is_a_config_error(tmp_path, capsys):
+    """A repeated key names both of its lines and is reported with every
+    other violation; the run writes no manifest."""
+    text = NAMED_CFG + "rho = 2.6\nrho = 3.2\nmax_iters = 0\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, "groundstate")
+    assert exc.value.errors == ["max_iters: must be >= 1 (got 0)", "rho: set on line 4 and again on line 5"]
+    cfg = _write(tmp_path, text)
+    assert cli.main(["groundstate", "--config", cfg, "--out", str(tmp_path / "g")]) == cli.EXIT_CONFIG
+    assert "rho: set on line 4 and again on line 5" in capsys.readouterr().err
+    assert not (tmp_path / "g.manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "given, missing",
     [
@@ -470,6 +483,7 @@ RANGES = [
     ("t_max", "evolve", "0", "must be positive", "0.0"),
     ("tau_max", "scatter", "1.5", "must lie in (0, 1)", "1.5"),
     ("bracket_tol", "threshold", "1", "must lie in (0, 1)", "1.0"),
+    ("seed", "threshold", "-3", "must be >= 0", "-3"),
     ("eps_grid", "named-thresholds", "0.4, 1.5", "entries must lie in (0, 1)", "(0.4, 1.5)"),
     ("max_iters", "groundstate", "0", "must be >= 1", "0"),
     ("flow_dt", "groundstate", "0", "must be positive", "0.0"),
@@ -500,7 +514,8 @@ def test_every_single_value_rule_has_a_range_case():
 def test_out_of_range_value_names_its_key_and_rule(key, config, value, message, got):
     subcommand, text = VALID[config]
     parse_config(text, subcommand)
-    # A later line sets the key over the valid config's own value.
+    # The key is set once: its line in the valid config, if any, gives way.
+    lines = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
     with pytest.raises(ConfigError) as exc:
-        parse_config(text + f"{key} = {value}\n", subcommand)
+        parse_config("\n".join(lines + [f"{key} = {value}"]) + "\n", subcommand)
     assert [m for m in exc.value.errors if m.startswith(f"{key}:")] == [f"{key}: {message} (got {got})"]

@@ -25,13 +25,6 @@ def test_time_maps():
         conformal.inverse_time_map(1.0)
 
 
-def test_pair_clock_consistency(psi0):
-    phi, tau = conformal.to_conformal(psi0, 1.0)
-    conformal.ConformalPair(psi=psi0, t=1.0, phi=phi, tau=tau)
-    with pytest.raises(ValueError):
-        conformal.ConformalPair(psi=psi0, t=1.0, phi=phi, tau=0.3)
-
-
 def test_transform_at_t_zero_is_chirp(psi0):
     phi, tau = conformal.to_conformal(psi0, 0.0)
     assert tau == 0.0
@@ -69,7 +62,7 @@ def test_j_norm_real_field_closed_form(psi0):
 def test_norm_identities_on_free_flow(psi0):
     for t in (0.0, 0.5, 3.0):
         psi_t = conformal.free_propagate(psi0, t) if t else psi0
-        rep = conformal.verify_norm_identities(conformal.make_pair(psi_t, t))
+        rep = conformal.verify_norm_identities(psi_t, t)
         assert rep.max_residual() < 1e-12
 
 

@@ -44,6 +44,13 @@ def test_physical_evolve_takes_no_decay_exponent(psi0, params):
         evolve(st0, 0.1, EvolveControls(A=0.75))
 
 
+def test_decay_exponent_must_be_nonnegative():
+    """E_A needs A >= 0; the controls that carry A into evolve check it."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        EvolveControls(A=-0.1)
+    assert EvolveControls(A=0.0).A == 0.0
+
+
 def test_physical_weights_are_dt(params):
     assert nonlinear_phase_weights("physical", 3.0, 0.02, params) == (0.02, 0.02)
 

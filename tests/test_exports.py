@@ -19,6 +19,26 @@ def test_every_all_entry_resolves():
     assert missing == []
 
 
+def test_every_public_definition_is_exported():
+    """Every public top-level function and class of a library module (all
+    but cli, the command-line runner) is in its __all__."""
+    unlisted = []
+    for name in MODULES:
+        if name == "nls_lab.cli":
+            continue
+        module = importlib.import_module(name)
+        tree = ast.parse(Path(module.__file__).read_text())
+        exported = set(getattr(module, "__all__", ()))
+        unlisted += [
+            f"{name}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exported
+        ]
+    assert unlisted == []
+
+
 def test_no_unused_imports():
     """Every name a module of nls_lab or a test file imports is used in
     it or listed in its __all__."""

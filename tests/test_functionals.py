@@ -12,9 +12,7 @@ from nls_lab.functionals import (
     correction_energy_terms,
     energy_coeffs,
     gn_quotient,
-    modified_energy,
     modified_energy_terms,
-    pohozaev,
     pohozaev_terms,
     split_energy_star_terms,
     standing_wave_multiplier,
@@ -82,19 +80,16 @@ def test_pohozaev_is_scaling_derivative(params, grid512):
 
     h = 1e-6
     fd = (energy_at(1 + h) - energy_at(1 - h)) / (2 * h)
-    assert pohozaev(f, params, coeffs) == pytest.approx(fd, rel=1e-8)
     assert pohozaev_terms(b, params, coeffs) == pytest.approx(fd, rel=1e-8)
 
 
 def test_modified_energy_at_tau_zero_is_energy(params, grid512):
     f = eval_profile(grid512, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0))
-    e = breakdown(f, params).total
+    b = breakdown(f, params)
     for A in (0.3, 0.75, 1.0):
-        assert modified_energy(0.0, f, A, params) == pytest.approx(e, rel=1e-13)
+        assert modified_energy_terms(0.0, b, A, params) == pytest.approx(b.total, rel=1e-13)
     with pytest.raises(ValueError):
-        modified_energy(1.0, f, 0.75, params)
-    with pytest.raises(ValueError):
-        modified_energy(0.5, f, -0.1, params)
+        modified_energy_terms(1.0, b, 0.75, params)
 
 
 @settings(max_examples=50, deadline=None)

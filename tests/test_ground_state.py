@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from nls_lab import backend
+from nls_lab import backend, spectral
 from nls_lab import ground_state as gs
-from nls_lab.functionals import CoeffTriple, ModelParams, breakdown
+from nls_lab.functionals import CoeffTriple, ModelParams, breakdown, pohozaev_terms
 from nls_lab.grid import AnalyticProfile, Grid, ResolutionWarning, eval_profile
 from oracles import _soliton_integrals, continuum_threshold
 
@@ -20,29 +20,48 @@ def _quiet_eval(grid, profile):
         return eval_profile(grid, profile)
 
 
-# ------------------------------------------------------------- rescaling
+# ------------------------------------------------------------- dilation
 
 
-def test_rescale_factors_match_reevaluation(params):
-    """Predicted mass/kinetic/potential factors against re-evaluating the
-    rescaled profile on a grid."""
-    grid = Grid(d=1, n=1024, L=64.0)
-    base_prof = AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0, chirp=0.05)
-    rep = gs.rescale(base_prof, exponent_a=0.7, lam=1.3, d=1)
-    f0 = _quiet_eval(grid, base_prof)
-    f1 = _quiet_eval(grid, rep.profile)
-    b0 = breakdown(f0, params)
-    b1 = breakdown(f1, params)
-    assert b1.mass / b0.mass == pytest.approx(rep.mass_factor, rel=1e-6)
-    assert b1.kinetic / b0.kinetic == pytest.approx(rep.kinetic_factor, rel=1e-6)
-    assert b1.nq / b0.nq == pytest.approx(rep.potential_factor(params.q, 1), rel=1e-6)
-    assert b1.np / b0.np == pytest.approx(rep.potential_factor(params.p, 1), rel=1e-6)
+@pytest.mark.parametrize(
+    "d, q, p, rho", [(1, 4.0, 4.5, 5.0), (1, 4.0, 4.5, 2.6), (2, 2.0, 2.5, 10.0)]
+)
+def test_dilation_fit_scales_the_integrals_by_the_dilation_law(d, q, p, rho):
+    """Where the seed's dilation curve has a negative minimum, the dilated
+    seed lam^{d/2} u(lam x), sampled on the returned box at mass rho^2,
+    keeps the mass and scales K by lam^2 and the q and p integrals by
+    lam^{d(q-1)/2} and lam^{d(p-1)/2}, against the seed on the default
+    box; and lam is the curve's minimizer, where the Pohozaev functional,
+    the curve's scaling derivative, vanishes."""
+    params = ModelParams(d=d, q=q, p=p)
+    coeffs = gs.triple_energy(params)
+    seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=3.0)
+    grid, scaled = gs._dilation_fit(params, coeffs, rho, seed)
+    lam = seed.width / scaled.width
+    assert lam != 1.0
+    assert (grid.n, grid.L) == (512, 64.0 * scaled.width)
+    b0 = breakdown(spectral.normalize(_quiet_eval(gs.default_grid(d), seed), rho), params)
+    b = breakdown(spectral.normalize(_quiet_eval(grid, scaled), rho), params)
+    assert b.mass == pytest.approx(rho**2, rel=1e-12)
+    assert b.kinetic == pytest.approx(b0.kinetic * lam**2, rel=1e-12)
+    assert b.nq == pytest.approx(b0.nq * lam ** (d * (q - 1) / 2), rel=1e-12)
+    assert b.np == pytest.approx(b0.np * lam ** (d * (p - 1) / 2), rel=1e-12)
+    # The fit takes lam on a grid of 1e-3 decades, so it sits within half
+    # a step of the minimizer; a 0.1% wider or narrower seed reads >= 3e-4.
+    g = pohozaev_terms(b, params, coeffs)
+    scale = (
+        2 * coeffs.alpha * b.kinetic
+        + d * (q - 1) / 2 * coeffs.beta * b.nq
+        + d * (p - 1) / 2 * coeffs.gamma * b.np
+    )
+    assert abs(g) < 2e-4 * scale
 
 
-def test_rescale_guards():
-    prof = AnalyticProfile(kind="gaussian", amplitude=1.0, width=1.0)
-    with pytest.raises(ValueError):
-        gs.rescale(prof, 0.5, -1.0)
+def test_dilation_fit_keeps_the_default_box_without_a_negative_minimum(params):
+    seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=3.0)
+    grid, kept = gs._dilation_fit(params, gs.triple_energy(params), 1.0, seed)
+    assert grid == gs.default_grid(1)
+    assert kept is seed
 
 
 # ----------------------------------------------------------------- flow
@@ -291,6 +310,15 @@ def test_flow_fft_budget(params, monkeypatch):
     res = gs.minimize_on_sphere(params, gs.triple_energy(params), 2.6, gs.FlowOptions(max_iters=25))
     assert res.classification == "budget_exhausted"
     assert counts == {"rfftn": 25, "irfftn": 25 + 3, "fftn": 1, "ifftn": 0}
+
+
+def test_tol_neg_rule_is_the_flows_tolerance(params):
+    """.threshold.json records TOL_NEG_RULE as the flow's tol_neg: the
+    expression, evaluated at rho, is the tol_neg a flow at that mass uses."""
+    opts = gs.FlowOptions(max_iters=1)
+    for rho in (0.3, 1.0, 2.6):
+        res = gs.minimize_on_sphere(params, gs.triple_energy(params), rho, opts)
+        assert res.tol_neg == eval(gs.TOL_NEG_RULE, {"rho": rho})
 
 
 def test_flow_rejects_complex_seed(params):
