@@ -45,6 +45,9 @@ __all__ = [
 DEFAULT_BRACKET = (0.05, 5.0)
 # A probe's seed widths, and the zero-branch stopping tests of a flow (see FlowOptions).
 SEED_WIDTHS = (1.0, 3.0, 8.0)
+# The undecided probes a batch of bisections plans ahead, at least two per
+# bisection (_bisect): it bounds the rows in flight, and so the memory.
+SPECULATIVE_PROBES = 12
 SPREAD_FACTOR = 4.0
 STALL_WINDOW = 60
 STALL_FACTOR = 0.999
@@ -839,23 +842,38 @@ def _bisect(params, triples, bracket_tol, opts, rngs=None):
     the default box in params.d dimensions, whose rows are the probes'
     seeds keyed (i, k, j): seed j of probe k of bisection i.
 
-    The verdicts v of bisection i so far are its path.  After each of
-    them it plans the masses past its path: probe len(v) at
-    _bisection(v), and then its zero-side successor, probe len(v) + 1 at
-    _bisection(v + ['zero']), each while that is a mass and not a bracket
-    or a BracketingError.  It keeps each of its probes past the path that
-    flows at its planned mass, drops the others from the flow, and admits
-    the missing ones, to join the running flow at its next 10-iteration
-    boundary.  A probe's verdict is _decision of its seeds' results: known
-    at its first certified seed, or else at its last seed.  Probe k of
-    bisection i always flows the k-th _seeds(rngs[i]) draw, and a row's
-    result does not depend on when it joined, so every probe on a
-    bisection's path is what probing one mass at a time gives.  The seeds
-    of a path probe flow on to their own stop after its verdict, so every
-    ProbeResult is complete.  Once a bisection fails to bracket, every
-    bisection's plan is empty: every probe off a path is dropped at once,
-    and the BracketingError is raised, with the failing bisection's
-    complete path log, when the path probes in flight have stopped.
+    A probe's verdict is _decision of its seeds' results: known at its
+    first certified seed, or else at its last seed.  A bisection's path is
+    its run of probes, from the first, whose verdicts are known.  After
+    every verdict, on a path or off it, one plan covers all bisections
+    (replan).  It walks each bisection past its path with _bisection: a
+    probe flowing at the mass asked for gives its verdict once it has one,
+    any other step is one undecided probe, and the walk goes on past it as
+    after 'zero'.  A walk ends at a bracket or at a BracketingError, which
+    fails the bisection only when it is raised on the path.  The decided
+    steps at the head of a walk join the path.  The plan takes the
+    undecided steps level by level (every walk's first, then every walk's
+    second, and so on) up to max(SPECULATIVE_PROBES, 2 * bisections), with
+    the decided steps between them: at least each bisection's next probe
+    and that probe's zero-side successor.  The cap bounds the rows in
+    flight: the energy triple at bracket_tol 0.005 and rng seed 1 peaks at
+    28 rows (8 under a plan of those two probes), and an unbounded walk
+    over seven named triples reached 162.  The first walk plans the upper
+    expansion (5 ... 640) on assumed zeros; it is dropped within 10
+    iterations, once 5.0 certifies 'negative'.  A probe past a path
+    flowing at its planned mass flows on, the others are dropped from the
+    flow, and the planned probes not yet flowing are admitted, to join the
+    running flow at its next 10-iteration boundary.  A probe planned on an
+    assumption that a verdict has broken flows at a mass no walk asks for,
+    so its verdict is never read.  Probe k of bisection i always flows the
+    k-th _seeds(rngs[i]) draw, and a row's result does not depend on when
+    it joined, so every probe on a bisection's path is what probing one
+    mass at a time gives.  The seeds of a path probe flow on to their own
+    stop after its verdict, so every ProbeResult is complete.  Once a
+    bisection fails to bracket, every bisection's plan is empty: every
+    probe off a path is dropped at once, and the BracketingError is
+    raised, with the failing bisection's complete path log, when the path
+    probes in flight have stopped.
     Returns one ThresholdResult per triple, whose probes are its path
     probes in order."""
     if not 0 < bracket_tol < 1:
@@ -866,36 +884,70 @@ def _bisect(params, triples, bracket_tol, opts, rngs=None):
         rngs = [None] * len(triples)
     flow = _Flow(params, default_grid(params.d), opts)
     seeds = range(len(SEED_WIDTHS))
+    cap = max(SPECULATIVE_PROBES, 2 * len(triples))
     verdicts = [[] for _ in triples]
     # draws[i][k] is the k-th _seeds draw of bisection i, for its probe k.
     draws = [[] for _ in triples]
     # (i, k) -> (rho, seed results) of probe k of bisection i, on its path or planned past it.
     probes = {}
-    failed = []
+    # i -> the BracketingError of bisection i, in the order they were raised.
+    failed = {}
 
-    def replan(i):
-        """Plan bisection i past its path; keep, drop and admit probes to match."""
-        v = verdicts[i]
-        plan = {}
-        for zeros in (0, 1):
+    def walk(i):
+        """The steps of bisection i past its path, as (key, rho, verdict):
+        the verdict of the probe flowing under key at rho, None while it is
+        undecided or when none flows there, in which case the walk goes on
+        as after 'zero'.  It ends at a bracket or at a BracketingError,
+        which fails the bisection when every step before it is decided."""
+        v = list(verdicts[i])
+        steps = []
+        while True:
             try:
-                step = _bisection(bracket_tol, v + ["zero"] * zeros)
+                rho = _bisection(bracket_tol, v)
             except BracketingError as err:
-                if not zeros:
-                    failed.append((i, err))
-                break
-            if isinstance(step, tuple):
-                break
-            plan[i, len(v) + zeros] = step
+                if all(verdict for *_, verdict in steps):
+                    failed.setdefault(i, err)
+                return steps
+            if isinstance(rho, tuple):
+                return steps
+            key = i, len(v)
+            flowing, results = probes.get(key, (None, None))
+            verdict = _decision(results) if flowing == rho else None
+            steps.append((key, rho, verdict))
+            v.append(verdict or "zero")
+
+    def replan():
+        """Move each bisection's path past its decided steps, plan its walk
+        up to the cap on undecided steps, and keep, drop and admit probes
+        to match."""
+        walks = [walk(i) for i in range(len(triples))]
+        for path, steps in zip(verdicts, walks):
+            while steps and steps[0][2]:
+                path.append(steps.pop(0)[2])
+        # A walk's l-th undecided step is on level l: take level by level.
+        undecided = [sum(not verdict for *_, verdict in steps) for steps in walks]
+        levels = sorted((level, i) for i, n in enumerate(undecided) for level in range(n))
+        room = [0] * len(triples)
+        for _, i in levels[:cap]:
+            room[i] += 1
+        plan = {}
+        # A failed bisection empties every plan.
+        for i, steps in enumerate(() if failed else walks):
+            for key, rho, verdict in steps:
+                if not verdict:
+                    if not room[i]:
+                        break
+                    room[i] -= 1
+                plan[key] = rho
         stale = [
             key
             for key, (rho, _) in probes.items()
-            if key[1] >= len(verdicts[key[0]]) and (failed or key[0] == i) and plan.get(key) != rho
+            if key[1] >= len(verdicts[key[0]]) and plan.get(key) != rho
         ]
-        flow.drop((b, k, j) for b, k in stale for j in seeds)
+        flow.drop((i, k, j) for i, k in stale for j in seeds)
         for key in stale:
             del probes[key]
-        for (_, k), rho in plan.items():
+        for (i, k), rho in plan.items():
             if (i, k) not in probes:
                 while len(draws[i]) <= k:
                     draws[i].append(_seeds(rngs[i]))
@@ -903,17 +955,16 @@ def _bisect(params, triples, bracket_tol, opts, rngs=None):
                 for j, seed in enumerate(draws[i][k]):
                     flow.admit((i, k, j), triples[i], rho, seed)
 
-    for i in range(len(triples)):
-        replan(i)
+    replan()
     for (i, k, j), result in flow.run():
-        probes[i, k][1][j] = result
-        # A kept successor may have told its verdict already.
-        while (head := (i, len(verdicts[i]))) in probes and (v := _decision(probes[head][1])) is not None:
-            verdicts[i].append(v)
-            replan(i)
+        results = probes[i, k][1]
+        known = _decision(results) is not None
+        results[j] = result
+        if not known and _decision(results) is not None:
+            replan()
     logs = [[_verdict(*probes[i, k]) for k in range(len(path))] for i, path in enumerate(verdicts)]
     if failed:
-        i, err = failed[0]
+        i, err = next(iter(failed.items()))
         err.probes = logs[i]
         raise err
     return [ThresholdResult(*_bisection(bracket_tol, v), log) for v, log in zip(verdicts, logs)]
@@ -941,12 +992,13 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     .threshold.json) and in the manifest's sound flag.  Acting on
     unsound or unresolved probes is direction 1 of ROADMAP.md.  The
     bisection runs in one flow (_bisect): each probe's seeds are rows of
-    it.  After each verdict it plans its next probe and that probe's
-    zero-side successor, the probe it asks for next unless the verdict is
-    'negative'; a flowing probe the plan does not hold at its mass is
-    dropped, and a planned probe not yet flowing joins the flow.  The
-    probe log holds the probes on the bisection's path only, and it and
-    the bracket are what probing one mass at a time gives.
+    it.  After every verdict it walks past the probes already decided, off
+    its path too, and plans up to SPECULATIVE_PROBES undecided ones,
+    assuming 'zero' for each; a flowing probe the plan does not hold at
+    its mass is dropped, and a planned probe not yet flowing joins the
+    flow.  So no probe waits on another's verdict while the cap leaves
+    room.  The probe log holds the probes on the bisection's path only,
+    and it and the bracket are what probing one mass at a time gives.
     """
     return _bisect(params, [_reduced_triple(params, coeffs)], bracket_tol, opts, [rng])[0]
 
@@ -1007,11 +1059,14 @@ class NamedThresholds:
 
 def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts=None):
     """Bisect every named threshold, each distinct Lambda once and all of
-    them through one flow (_bisect): after each verdict a bisection plans
-    its next probe and that probe's zero-side successor, and a planned
-    probe joins the running flow, so no bisection waits on another's
-    probes.  Brackets and probe logs are those of each bisection run
-    alone; one that fails to bracket drops every probe off a path.
+    them through one flow (_bisect): after every verdict one plan walks
+    each bisection past its decided probes and takes their undecided
+    probes level by level, at least the next probe and its zero-side
+    successor of each, up to max(SPECULATIVE_PROBES, 2 * bisections) in
+    all, and a planned probe joins the running flow, so no bisection
+    waits on another's probes.  Brackets and probe logs are those of each
+    bisection run alone; one that fails to bracket drops every probe off a
+    path.
     Triples with the same Lambda (rho_star and rho1[1.0]) share one
     ThresholdResult.  The rho1/rho* entries require the scattering
     regime."""

@@ -378,12 +378,11 @@ def test_probe_matches_the_bisections_own_probes(params, threshold_energy):
 
 
 def test_speculative_successors_are_invisible_and_pay(params, monkeypatch):
-    """A bisection flows each probe's zero-side successor beside it.  Its
-    first and last probes are still what _flow_rows gives the k-th _seeds
-    draw at their masses, and it makes fewer flow iterations (one
-    flow_kick each) than it would waiting for each path probe's verdict
-    in turn: its slowest seed for a 'zero' or 'unresolved' verdict, its
-    first certified seed for a 'negative' one."""
+    """A bisection plans past every decided probe, speculating 'zero' for
+    each undecided one.  Its first and last probes are still what
+    _flow_rows gives the k-th _seeds draw at their masses, and on this
+    config it makes exactly as many flow iterations (one flow_kick each)
+    as its slowest path seed: no path probe waits on another's verdict."""
     kicks = []
     kick = backend.flow_kick
 
@@ -404,13 +403,8 @@ def test_speculative_successors_are_invisible_and_pay(params, monkeypatch):
         assert gs._verdict(pr.rho, alone).verdict == pr.verdict
         assert [_row_key(r) for r in alone] == [_row_key(r) for r in pr.results]
 
-    def latency(pr):
-        if pr.verdict == "negative":
-            return min(r.iterations for r in pr.results if r.classification == "converged_negative")
-        return max(r.iterations for r in pr.results)
-
     assert {pr.verdict for pr in th.probes} == {"zero", "negative"}
-    assert bisection_kicks < sum(latency(pr) for pr in th.probes)
+    assert bisection_kicks == max(r.iterations for pr in th.probes for r in pr.results)
 
 
 def _seed_result(classification, energy=0.0, width_ratio=4.0):
@@ -447,30 +441,71 @@ def test_decision_on_partial_seed_results(results, decision):
         assert gs._verdict(1.0, results).verdict == decision
 
 
-def test_bisection_drops_exactly_the_successors_off_its_path(params, monkeypatch):
-    """Path probe k's zero-side successor, probe k + 1 at
-    _bisection(v[:k] + ['zero']), flows whenever that is a mass, and is
-    dropped exactly when path probe k + 1 is absent or sits at another
-    mass; no other probe is dropped."""
-    dropped = set()
-    drop = gs._Flow.drop
+def _assert_path_masses(th, bracket_tol):
+    """Path probe k of th sits at _bisection(verdicts[:k]), and the
+    verdicts end at th's bracket."""
+    verdicts = [p.verdict for p in th.probes]
+    asked = [gs._bisection(bracket_tol, verdicts[:k]) for k in range(len(verdicts))]
+    assert [p.rho for p in th.probes] == asked
+    assert gs._bisection(bracket_tol, verdicts) == (th.rho_lo, th.rho_hi)
 
-    def recorded(self, keys):
-        keys = list(keys)
-        dropped.update((i, k) for i, k, _ in keys)
-        return drop(self, keys)
 
-    monkeypatch.setattr(gs._Flow, "drop", recorded)
+def test_path_probes_sit_where_the_bisection_asks(params, named):
+    """A probe speculated on an assumption that a later verdict breaks is
+    never read into a path: every completed path, of threshold_mass and
+    of each named_thresholds entry, probes the masses _bisection asks for
+    after the verdicts before them."""
     th = gs.threshold_mass(params, gs.triple_energy(params), bracket_tol=0.02, rng=np.random.default_rng(3))
-    path = th.probes
-    verdicts = [pr.verdict for pr in path]
-    expected = set()
-    for k in range(len(path)):
-        successor = gs._bisection(0.02, verdicts[:k] + ["zero"])
-        if not isinstance(successor, tuple) and (k + 1 == len(path) or path[k + 1].rho != successor):
-            expected.add((0, k + 1))
-    assert expected
-    assert dropped == expected
+    _assert_path_masses(th, 0.02)
+    for th in (named.rho_E, named.rho_SW, named.rho_star, *named.rho1.values(), *named.rho2.values()):
+        _assert_path_masses(th, 0.005)
+
+
+def test_bisection_drops_only_probes_off_its_path_and_caps_speculation(sparams, monkeypatch):
+    """Every probe the bisections drop lies past its bisection's path when
+    it is dropped: past the decided probes at the masses the path takes.
+    A probe the cap holds back may be dropped and admitted again later at
+    the same mass.  The undecided probes in flight never exceed
+    max(SPECULATIVE_PROBES, 2 * bisections), a cap this run reaches."""
+    flowing = {}  # (i, k) -> (rho, seed results) of each probe in flight
+    dropped = []  # ((i, k), {(i, m): rho of each decided probe}) at each drop
+    most = []
+    admit, drop, run = gs._Flow.admit, gs._Flow.drop, gs._Flow.run
+
+    def undecided():
+        return sum(gs._decision(results) is None for _, results in flowing.values())
+
+    def admitted(self, key, coeffs, rho, seed):
+        flowing.setdefault(key[:2], (rho, [None] * len(gs.SEED_WIDTHS)))
+        admit(self, key, coeffs, rho, seed)
+        most.append(undecided())
+
+    def dropping(self, keys):
+        keys = list(keys)
+        decided = {probe: rho for probe, (rho, results) in flowing.items() if gs._decision(results)}
+        for probe in dict.fromkeys(key[:2] for key in keys):
+            del flowing[probe]
+            dropped.append((probe, decided))
+        drop(self, keys)
+
+    def running(self):
+        for key, result in run(self):
+            flowing[key[:2]][1][key[2]] = result
+            most.append(undecided())
+            yield key, result
+
+    monkeypatch.setattr(gs._Flow, "admit", admitted)
+    monkeypatch.setattr(gs._Flow, "drop", dropping)
+    monkeypatch.setattr(gs._Flow, "run", running)
+    named = gs.named_thresholds(sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,))
+    paths = [named.rho_E.probes, named.rho_SW.probes, named.rho_star.probes, named.rho2[0.4].probes]
+    assert dropped
+    for (i, k), decided in dropped:
+        path = 0
+        while path < len(paths[i]) and decided.get((i, path)) == paths[i][path].rho:
+            path += 1
+        assert k >= path
+    assert max(most) == max(gs.SPECULATIVE_PROBES, 2 * len(paths))
 
 
 def test_threshold_against_continuum_quadrature(params, threshold_energy):
