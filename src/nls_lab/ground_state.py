@@ -39,14 +39,15 @@ __all__ = [
     "OrderingReport",
     "ordering_check",
     "pure_focusing_exponent",
+    "threshold_exponent",
     "default_grid",
 ]
 
 DEFAULT_BRACKET = (0.05, 5.0)
 # A probe's seed widths, and the zero-branch stopping tests of a flow (see FlowOptions).
 SEED_WIDTHS = (1.0, 3.0, 8.0)
-# The undecided probes a batch of bisections plans ahead, at least two per
-# bisection (_bisect): it bounds the rows in flight, and so the memory.
+# The undecided probes a bisection plans ahead (_bisect): it bounds the
+# rows in flight, and so the memory.
 SPECULATIVE_PROBES = 12
 SPREAD_FACTOR = 4.0
 STALL_WINDOW = 60
@@ -776,22 +777,6 @@ class ThresholdResult:
         return self.rho_hi - self.rho_lo
 
 
-def _reduced_triple(params, coeffs):
-    """The (1, 1, Lambda) problem of coeffs in the energy triple's units:
-    the energy triple's alpha and beta, with the gamma of the same Lambda."""
-    if coeffs.beta == 0:
-        raise ValueError("threshold bisection needs strictly positive coefficients")
-    if params.regime not in ("variational", "scattering"):
-        raise ValueError("threshold bisection needs an admissible regime")
-    ref = energy_coeffs(params)
-    r = params.delta_p / params.delta_q
-    return CoeffTriple(
-        ref.alpha,
-        ref.beta,
-        coeffs.gamma * (ref.alpha / coeffs.alpha) ** (1 - r) * (ref.beta / coeffs.beta) ** r,
-    )
-
-
 def _bisection(bracket_tol, verdicts):
     """The step of threshold_mass's bisection after the verdicts of its
     probes so far, in order: the mass of its next probe, or its final
@@ -837,150 +822,113 @@ def _bisection(bracket_tol, verdicts):
     return lo, hi
 
 
-def _bisect(params, triples, bracket_tol, opts, rngs=None):
-    """Run one _bisection per reduced triple through one _Flow batch on
-    the default box in params.d dimensions, whose rows are the probes'
-    seeds keyed (i, k, j): seed j of probe k of bisection i.
+def _bisect(params, bracket_tol, opts, rng):
+    """Run the _bisection of the energy triple in one _Flow batch on the
+    default box in params.d dimensions, whose rows are the probes' seeds
+    keyed (k, j): seed j of probe k.
 
     A probe's verdict is _decision of its seeds' results: known at its
-    first certified seed, or else at its last seed.  A bisection's path is
-    its run of probes, from the first, whose verdicts are known.  After
-    every verdict, on a path or off it, one plan covers all bisections
-    (replan).  It walks each bisection past its path with _bisection: a
-    probe flowing at the mass asked for gives its verdict once it has one,
-    any other step is one undecided probe, and the walk goes on past it as
-    after 'zero'.  A walk ends at a bracket or at a BracketingError, which
-    fails the bisection only when it is raised on the path.  The decided
-    steps at the head of a walk join the path.  The plan takes the
-    undecided steps level by level (every walk's first, then every walk's
-    second, and so on) up to max(SPECULATIVE_PROBES, 2 * bisections), with
-    the decided steps between them: at least each bisection's next probe
-    and that probe's zero-side successor.  The cap bounds the rows in
-    flight: the energy triple at bracket_tol 0.005 and rng seed 1 peaks at
-    28 rows (8 under a plan of those two probes), and an unbounded walk
-    over seven named triples reached 162.  The first walk plans the upper
-    expansion (5 ... 640) on assumed zeros; it is dropped within 10
-    iterations, once 5.0 certifies 'negative'.  A probe past a path
-    flowing at its planned mass flows on, the others are dropped from the
-    flow, and the planned probes not yet flowing are admitted, to join the
-    running flow at its next 10-iteration boundary.  A probe planned on an
-    assumption that a verdict has broken flows at a mass no walk asks for,
-    so its verdict is never read.  Probe k of bisection i always flows the
-    k-th _seeds(rngs[i]) draw, and a row's result does not depend on when
-    it joined, so every probe on a bisection's path is what probing one
-    mass at a time gives.  The seeds of a path probe flow on to their own
-    stop after its verdict, so every ProbeResult is complete.  Once a
-    bisection fails to bracket, every bisection's plan is empty: every
-    probe off a path is dropped at once, and the BracketingError is
-    raised, with the failing bisection's complete path log, when the path
-    probes in flight have stopped.
-    Returns one ThresholdResult per triple, whose probes are its path
-    probes in order."""
+    first certified seed, or else at its last seed.  The path is the run
+    of probes, from the first, whose verdicts are known.  After every
+    verdict, on the path or off it, replan walks past the path with
+    _bisection: a probe flowing at the mass asked for gives its verdict
+    once it has one, any other step is one undecided probe, and the walk
+    goes on past it as after 'zero', up to SPECULATIVE_PROBES undecided
+    probes.  A flowing probe the walk does not hold at its mass is
+    dropped, and a planned probe not yet flowing joins the flow at its
+    next 10-iteration boundary.  Probe k always flows the k-th
+    _seeds(rng) draw, and a row's result does not depend on when it
+    joined, so every path probe is what probing one mass at a time gives;
+    its seeds flow on to their own stop, so its ProbeResult is complete.
+    A BracketingError met on the path empties the walk, and is raised
+    with the path's probe log once the path probes have stopped.
+    Returns the ThresholdResult whose probes are the path probes."""
     if not 0 < bracket_tol < 1:
         raise ValueError(f"bracket_tol must lie in (0, 1), got {bracket_tol}")
     if opts is None:
         opts = FlowOptions()
-    if rngs is None:
-        rngs = [None] * len(triples)
+    coeffs = energy_coeffs(params)
     flow = _Flow(params, default_grid(params.d), opts)
     seeds = range(len(SEED_WIDTHS))
-    cap = max(SPECULATIVE_PROBES, 2 * len(triples))
-    verdicts = [[] for _ in triples]
-    # draws[i][k] is the k-th _seeds draw of bisection i, for its probe k.
-    draws = [[] for _ in triples]
-    # (i, k) -> (rho, seed results) of probe k of bisection i, on its path or planned past it.
+    verdicts = []
+    # draws[k] is the k-th _seeds draw, for probe k.
+    draws = []
+    # k -> (rho, seed results) of probe k, on the path or planned past it.
     probes = {}
-    # i -> the BracketingError of bisection i, in the order they were raised.
-    failed = {}
+    failure = None
 
-    def walk(i):
-        """The steps of bisection i past its path, as (key, rho, verdict):
-        the verdict of the probe flowing under key at rho, None while it is
-        undecided or when none flows there, in which case the walk goes on
-        as after 'zero'.  It ends at a bracket or at a BracketingError,
-        which fails the bisection when every step before it is decided."""
-        v = list(verdicts[i])
-        steps = []
+    def replan():
+        """Move the path past its decided steps, plan the walk past it up
+        to SPECULATIVE_PROBES undecided steps, and keep, drop and admit
+        probes to match."""
+        nonlocal failure
+        v = list(verdicts)
+        plan = {}
+        undecided = 0
         while True:
             try:
                 rho = _bisection(bracket_tol, v)
             except BracketingError as err:
-                if all(verdict for *_, verdict in steps):
-                    failed.setdefault(i, err)
-                return steps
+                if not plan:
+                    failure = err
+                break
             if isinstance(rho, tuple):
-                return steps
-            key = i, len(v)
-            flowing, results = probes.get(key, (None, None))
+                break
+            k = len(v)
+            flowing, results = probes.get(k, (None, None))
             verdict = _decision(results) if flowing == rho else None
-            steps.append((key, rho, verdict))
-            v.append(verdict or "zero")
-
-    def replan():
-        """Move each bisection's path past its decided steps, plan its walk
-        up to the cap on undecided steps, and keep, drop and admit probes
-        to match."""
-        walks = [walk(i) for i in range(len(triples))]
-        for path, steps in zip(verdicts, walks):
-            while steps and steps[0][2]:
-                path.append(steps.pop(0)[2])
-        # A walk's l-th undecided step is on level l: take level by level.
-        undecided = [sum(not verdict for *_, verdict in steps) for steps in walks]
-        levels = sorted((level, i) for i, n in enumerate(undecided) for level in range(n))
-        room = [0] * len(triples)
-        for _, i in levels[:cap]:
-            room[i] += 1
-        plan = {}
-        # A failed bisection empties every plan.
-        for i, steps in enumerate(() if failed else walks):
-            for key, rho, verdict in steps:
+            if verdict and not plan:
+                verdicts.append(verdict)
+            else:
                 if not verdict:
-                    if not room[i]:
+                    if undecided == SPECULATIVE_PROBES:
                         break
-                    room[i] -= 1
-                plan[key] = rho
-        stale = [
-            key
-            for key, (rho, _) in probes.items()
-            if key[1] >= len(verdicts[key[0]]) and plan.get(key) != rho
-        ]
-        flow.drop((i, k, j) for i, k in stale for j in seeds)
-        for key in stale:
-            del probes[key]
-        for (i, k), rho in plan.items():
-            if (i, k) not in probes:
-                while len(draws[i]) <= k:
-                    draws[i].append(_seeds(rngs[i]))
-                probes[i, k] = rho, [None] * len(seeds)
-                for j, seed in enumerate(draws[i][k]):
-                    flow.admit((i, k, j), triples[i], rho, seed)
+                    undecided += 1
+                plan[k] = rho
+            v.append(verdict or "zero")
+        stale = [k for k, (rho, _) in probes.items() if k >= len(verdicts) and plan.get(k) != rho]
+        flow.drop((k, j) for k in stale for j in seeds)
+        for k in stale:
+            del probes[k]
+        for k, rho in plan.items():
+            if k not in probes:
+                while len(draws) <= k:
+                    draws.append(_seeds(rng))
+                probes[k] = rho, [None] * len(seeds)
+                for j, seed in enumerate(draws[k]):
+                    flow.admit((k, j), coeffs, rho, seed)
 
     replan()
-    for (i, k, j), result in flow.run():
-        results = probes[i, k][1]
+    for (k, j), result in flow.run():
+        results = probes[k][1]
         known = _decision(results) is not None
         results[j] = result
         if not known and _decision(results) is not None:
             replan()
-    logs = [[_verdict(*probes[i, k]) for k in range(len(path))] for i, path in enumerate(verdicts)]
-    if failed:
-        i, err = next(iter(failed.items()))
-        err.probes = logs[i]
-        raise err
-    return [ThresholdResult(*_bisection(bracket_tol, v), log) for v, log in zip(verdicts, logs)]
+    log = [_verdict(*probes[k]) for k in range(len(verdicts))]
+    if failure:
+        failure.probes = log
+        raise failure
+    return ThresholdResult(*_bisection(bracket_tol, verdicts), log)
+
+
+def _law_factor(params, coeffs):
+    """(Lambda / Lambda_E)^(-kappa) (threshold_exponent): the threshold of
+    coeffs over the energy triple's.  Raises ValueError unless beta > 0."""
+    ratio = lambda_reduction(coeffs, params) / lambda_reduction(energy_coeffs(params), params)
+    return ratio ** -threshold_exponent(params)
 
 
 def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     """Bisect the zero/negative dichotomy of the constrained infimum.
 
     The threshold depends on the triple only through Lambda
-    (lambda_reduction), so one reduced problem is bisected: the triple
-    (alpha_E, beta_E, gamma') of the energy triple's alpha and beta with
-    gamma' giving the same Lambda.  That is the (1, 1, Lambda) problem in
-    the energy triple's units, which the default box (in params.d
-    dimensions), seed widths and flow dt are sized for; the energy triple
-    reduces to itself exactly.  The probe energies in the result are
-    energies of the reduced triple.
+    (lambda_reduction), and rho_0(Lambda) = rho_0(Lambda_E)
+    (Lambda / Lambda_E)^(-kappa) (threshold_exponent).  So one problem is
+    bisected, the energy triple's, which the default box (in params.d
+    dimensions), seed widths and flow dt are sized for, and its bracket
+    is scaled by that factor, exactly 1 for the energy triple.  The probe
+    log is the energy triple's: its masses and energies.
 
     Starts from the bracket [0.05, 5.0], auto-expanding geometrically up
     to two decades on each side until the lower end probes 'zero' and the
@@ -989,18 +937,15 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     probe moves the upper end and any other verdict, 'unresolved'
     included, moves the lower end.  A probe's soundness does not steer
     the bisection: it is recorded per probe in the result (the CLI's
-    .threshold.json) and in the manifest's sound flag.  Acting on
-    unsound or unresolved probes is direction 1 of ROADMAP.md.  The
-    bisection runs in one flow (_bisect): each probe's seeds are rows of
-    it.  After every verdict it walks past the probes already decided, off
-    its path too, and plans up to SPECULATIVE_PROBES undecided ones,
-    assuming 'zero' for each; a flowing probe the plan does not hold at
-    its mass is dropped, and a planned probe not yet flowing joins the
-    flow.  So no probe waits on another's verdict while the cap leaves
-    room.  The probe log holds the probes on the bisection's path only,
-    and it and the bracket are what probing one mass at a time gives.
+    .threshold.json) and in the manifest's sound flag.  The bisection
+    runs its probes as rows of one flow, planned up to SPECULATIVE_PROBES
+    ahead (_bisect).
     """
-    return _bisect(params, [_reduced_triple(params, coeffs)], bracket_tol, opts, [rng])[0]
+    if params.regime not in ("variational", "scattering"):
+        raise ValueError("threshold bisection needs an admissible regime")
+    f = _law_factor(params, coeffs)
+    th = _bisect(params, bracket_tol, opts, rng)
+    return ThresholdResult(f * th.rho_lo, f * th.rho_hi, th.probes)
 
 
 def lambda_reduction(coeffs, params):
@@ -1058,18 +1003,10 @@ class NamedThresholds:
 
 
 def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts=None):
-    """Bisect every named threshold, each distinct Lambda once and all of
-    them through one flow (_bisect): after every verdict one plan walks
-    each bisection past its decided probes and takes their undecided
-    probes level by level, at least the next probe and its zero-side
-    successor of each, up to max(SPECULATIVE_PROBES, 2 * bisections) in
-    all, and a planned probe joins the running flow, so no bisection
-    waits on another's probes.  Brackets and probe logs are those of each
-    bisection run alone; one that fails to bracket drops every probe off a
-    path.
-    Triples with the same Lambda (rho_star and rho1[1.0]) share one
-    ThresholdResult.  The rho1/rho* entries require the scattering
-    regime."""
+    """Every named threshold from one bisection of the energy triple
+    (_bisect), scaled for each entry as threshold_mass scales it; entries
+    of one Lambda (rho_star and rho1[1.0]) share one ThresholdResult.
+    The rho1/rho* entries require the scattering regime."""
     if params.regime != "scattering":
         raise ValueError("named thresholds are defined in the scattering regime")
     dq = params.delta_q
@@ -1082,13 +1019,14 @@ def named_thresholds(params, bracket_tol=0.005, A_grid=None, eps_grid=None, opts
     triples = [triple_energy(params), triple_standing_wave(params), triple_star(params)]
     triples += [triple_rho1(params, a) for a in A_grid]
     triples += [triple_rho2(params, e) for e in eps_grid]
-    lambdas = [lambda_reduction(c, params) for c in triples]
-    first = {}
-    for lam, c in zip(lambdas, triples):
-        first.setdefault(lam, c)
-    reduced = [_reduced_triple(params, c) for c in first.values()]
-    by_lambda = dict(zip(first, _bisect(params, reduced, bracket_tol, opts)))
-    th = [by_lambda[lam] for lam in lambdas]
+    energy = _bisect(params, bracket_tol, opts, None)
+    by_factor = {}
+    th = []
+    for c in triples:
+        f = _law_factor(params, c)
+        if f not in by_factor:
+            by_factor[f] = ThresholdResult(f * energy.rho_lo, f * energy.rho_hi, energy.probes)
+        th.append(by_factor[f])
     return NamedThresholds(
         rho_E=th[0],
         rho_SW=th[1],
@@ -1149,3 +1087,11 @@ def pure_focusing_exponent(params):
     e = (4(p+1) - 2d(p-1)) / (4 + d - dp)."""
     d, p = params.d, params.p
     return (4 * (p + 1) - 2 * d * (p - 1)) / (4 + d - d * p)
+
+
+def threshold_exponent(params):
+    """kappa in the threshold law rho_0(Lambda) = rho_0(Lambda_E)
+    (Lambda / Lambda_E)^(-kappa): u(x) = a v(bx) with b^2 = a^(q-1) and
+    a^(q-p) = Lambda maps the (1, 1, 1) problem onto the (1, 1, Lambda)
+    one, so kappa = delta_q / (2(p - q)) = (4 - d(q-1)) / (4(p - q))."""
+    return params.delta_q / (2 * (params.p - params.q))

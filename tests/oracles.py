@@ -18,38 +18,45 @@ def free_gaussian(t, x, width):
     return width * (w2 + 2j * t) ** (-0.5) * np.exp(-(x**2) / (2 * (w2 + 2j * t)))
 
 
-def soliton_potential(u, omega, q, p, beta, gamma):
-    """First integral of the standing-wave ODE: alpha u'^2 = V(u)."""
-    return 0.5 * omega * u**2 + beta * u ** (q + 1) - gamma * u ** (p + 1)
-
-
-def soliton_omega(a, q, p, beta, gamma):
-    """Multiplier making the peak amplitude a a turning point, V(a) = 0."""
-    return 2 * (gamma * a ** (p - 1) - beta * a ** (q - 1))
-
-
 def _soliton_integrals(a, q, p, alpha, beta, gamma):
-    """(mass^2, energy) of the 1D soliton with peak amplitude a by
-    quadrature on the first integral; the endpoint singularity
-    V(u) ~ V'(a)(u - a) is integrable."""
-    omega = soliton_omega(a, q, p, beta, gamma)
+    """(mass^2, energy) of the 1D soliton with peak amplitude a, by
+    quadrature on the first integral of the standing-wave ODE,
+    alpha u'^2 = V(u) = omega u^2 / 2 + beta u^(q+1) - gamma u^(p+1), with
+    omega chosen so that V(a) = 0.
 
-    def V(u):
-        return soliton_potential(u, omega, q, p, beta, gamma)
+    The substitution u = a - t^2 takes out the inverse-sqrt singularity
+    of dx = sqrt(alpha / V) du at the peak.  V = t^2 u^2 c(t) with
+    c = (gamma a^(p-1) g(p-1) - beta a^(q-1) g(q-1)) / a and
+    g(s) = (1 - (u/a)^s) / (t^2 / a), which tends to s at t = 0 and is
+    formed without cancellation.  So dx = 2 sqrt(alpha) dt / (u sqrt(c)),
+    both integrands are smooth on [0, sqrt(a)], and quad meets a relative
+    tolerance of 1e-12 (the energy near zero: its rounding floor)."""
 
-    def mass_den(u):
-        return u**2 * np.sqrt(alpha / V(u))
+    def parts(t):
+        x = t * t / a
+        u = a - t * t
 
-    def energy_den(u):
-        return (V(u) + beta * u ** (q + 1) - gamma * u ** (p + 1)) / np.sqrt(V(u) / alpha)
+        def g(s):
+            return -np.expm1(s * np.log1p(-x)) / x
 
-    eps = a * 1e-9
+        return u, (gamma * a ** (p - 1) * g(p - 1) - beta * a ** (q - 1) * g(q - 1)) / a
+
+    def mass_den(t):
+        u, c = parts(t)
+        return u / np.sqrt(c)
+
+    def energy_den(t):
+        # alpha u'^2 = V, so the energy density is V + beta u^(q+1) - gamma u^(p+1).
+        u, c = parts(t)
+        return (t * t * u * c + beta * u**q - gamma * u**p) / np.sqrt(c)
+
+    scale = 4 * np.sqrt(alpha)
+    m2 = scale * quad(mass_den, 0, np.sqrt(a), epsabs=0, epsrel=1e-12, limit=200)[0]
     with warnings.catch_warnings():
-        # The inverse-sqrt endpoint singularity triggers a roundoff
-        # complaint; the extrapolated value is accurate to ~1e-10.
+        # Near its zero crossing the energy is a difference of terms far
+        # larger than itself: quad stops at their rounding floor and says so.
         warnings.simplefilter("ignore", IntegrationWarning)
-        m2 = 2 * quad(mass_den, 0, a - eps, limit=200)[0]
-        en = 2 * quad(energy_den, 0, a - eps, limit=200)[0]
+        en = scale * quad(energy_den, 0, np.sqrt(a), epsabs=0, epsrel=1e-12, limit=200)[0]
     return m2, en
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nls_lab import cli
+from nls_lab import ground_state as gs
 from nls_lab.config import _SCHEMA, ConfigError, parse_config
-from nls_lab.functionals import EnergyBreakdown, correction_energy_terms, modified_energy_terms
+from nls_lab.functionals import EnergyBreakdown, ModelParams, correction_energy_terms, modified_energy_terms
 from nls_lab.grid import field_from_bytes
 
 
@@ -292,6 +293,29 @@ def test_cli_threshold_run(tmp_path):
     assert doc["rho_lo"] < doc["rho0_est"] < doc["rho_hi"]
     assert 2.0 < doc["rho0_est"] < 3.0
     assert {"rho", "verdict", "sound"} <= set(doc["probes"][0])
+
+
+def test_cli_threshold_scales_the_energy_bisection(tmp_path):
+    """threshold on the rho2(0.4) triple writes the energy triple's bracket
+    times (Lambda / Lambda_E)^(-kappa), and the energy triple's probe
+    log: its masses, verdicts and seed energies."""
+    params = ModelParams(d=1, q=4.0, p=4.5)
+    coeffs = gs.triple_rho2(params, 0.4)
+    text = (
+        f"d = 1\nq = 4\np = 4.5\ncoeffs.alpha = {coeffs.alpha!r}\ncoeffs.beta = {coeffs.beta!r}\n"
+        f"coeffs.gamma = {coeffs.gamma!r}\nbracket_tol = 0.1\n"
+    )
+    out = str(tmp_path / "t")
+    assert cli.main(["threshold", "--config", _write(tmp_path, text), "--out", out]) == cli.EXIT_OK
+    doc = json.load(open(out + ".threshold.json"))
+    energy = gs.threshold_mass(params, gs.triple_energy(params), bracket_tol=0.1)
+    ratio = gs.lambda_reduction(coeffs, params) / gs.lambda_reduction(gs.triple_energy(params), params)
+    f = ratio ** -gs.threshold_exponent(params)
+    assert f < 1
+    assert (doc["rho_lo"], doc["rho_hi"]) == (f * energy.rho_lo, f * energy.rho_hi)
+    assert [(pr["rho"], pr["verdict"], pr["energies"]) for pr in doc["probes"]] == [
+        (pr.rho, pr.verdict, [r.energy for r in pr.results]) for pr in energy.probes
+    ]
 
 
 def test_cli_workers_accepts_only_one(tmp_path, capsys):

@@ -450,62 +450,79 @@ def _assert_path_masses(th, bracket_tol):
     assert gs._bisection(bracket_tol, verdicts) == (th.rho_lo, th.rho_hi)
 
 
-def test_path_probes_sit_where_the_bisection_asks(params, named):
+def test_path_probes_sit_where_the_bisection_asks(params, sparams, named):
     """A probe speculated on an assumption that a later verdict breaks is
-    never read into a path: every completed path, of threshold_mass and
-    of each named_thresholds entry, probes the masses _bisection asks for
-    after the verdicts before them."""
+    never read into a path: the paths of threshold_mass and of
+    named_thresholds' one bisection, rho_E's, probe the masses _bisection
+    asks for after the verdicts before them.  Every other named entry
+    takes that bracket times f = (Lambda / Lambda_E)^(-kappa), and its
+    probe log."""
     th = gs.threshold_mass(params, gs.triple_energy(params), bracket_tol=0.02, rng=np.random.default_rng(3))
     _assert_path_masses(th, 0.02)
-    for th in (named.rho_E, named.rho_SW, named.rho_star, *named.rho1.values(), *named.rho2.values()):
-        _assert_path_masses(th, 0.005)
+    _assert_path_masses(named.rho_E, 0.005)
+    entries = [(named.rho_SW, gs.triple_standing_wave(sparams)), (named.rho_star, gs.triple_star(sparams))]
+    entries += [(th, gs.triple_rho1(sparams, a)) for a, th in named.rho1.items()]
+    entries += [(th, gs.triple_rho2(sparams, e)) for e, th in named.rho2.items()]
+    lam_E = gs.lambda_reduction(gs.triple_energy(sparams), sparams)
+    kappa = gs.threshold_exponent(sparams)
+    for th, coeffs in entries:
+        f = (gs.lambda_reduction(coeffs, sparams) / lam_E) ** -kappa
+        assert (th.rho_lo, th.rho_hi) == (f * named.rho_E.rho_lo, f * named.rho_E.rho_hi)
+        assert th.probes is named.rho_E.probes
 
 
-def test_bisection_drops_only_probes_off_its_path_and_caps_speculation(sparams, monkeypatch):
-    """Every probe the bisections drop lies past its bisection's path when
-    it is dropped: past the decided probes at the masses the path takes.
-    A probe the cap holds back may be dropped and admitted again later at
-    the same mass.  The undecided probes in flight never exceed
-    max(SPECULATIVE_PROBES, 2 * bisections), a cap this run reaches."""
-    flowing = {}  # (i, k) -> (rho, seed results) of each probe in flight
-    dropped = []  # ((i, k), {(i, m): rho of each decided probe}) at each drop
-    most = []
+def test_bisection_drops_only_probes_off_its_path_and_caps_speculation(params, monkeypatch):
+    """Every probe the bisection drops lies past its path when it is
+    dropped: past the decided probes at the masses the path takes.  No
+    probe is admitted again at a mass it was dropped at.  The undecided
+    probes in flight never exceed SPECULATIVE_PROBES; a cap of 3 is
+    reached, and leaves the bracket and the probe log as they are."""
     admit, drop, run = gs._Flow.admit, gs._Flow.drop, gs._Flow.run
+    runs = []
+    for cap in (gs.SPECULATIVE_PROBES, 3):
+        flowing = {}  # k -> (rho, seed results) of each probe in flight
+        dropped = []  # (k, {m: rho of each decided probe}) at each drop
+        gone = set()  # (k, rho) of each dropped probe
+        most = []
 
-    def undecided():
-        return sum(gs._decision(results) is None for _, results in flowing.values())
+        def undecided():
+            return sum(gs._decision(results) is None for _, results in flowing.values())
 
-    def admitted(self, key, coeffs, rho, seed):
-        flowing.setdefault(key[:2], (rho, [None] * len(gs.SEED_WIDTHS)))
-        admit(self, key, coeffs, rho, seed)
-        most.append(undecided())
-
-    def dropping(self, keys):
-        keys = list(keys)
-        decided = {probe: rho for probe, (rho, results) in flowing.items() if gs._decision(results)}
-        for probe in dict.fromkeys(key[:2] for key in keys):
-            del flowing[probe]
-            dropped.append((probe, decided))
-        drop(self, keys)
-
-    def running(self):
-        for key, result in run(self):
-            flowing[key[:2]][1][key[2]] = result
+        def admitted(self, key, coeffs, rho, seed):
+            assert (key[0], rho) not in gone
+            flowing.setdefault(key[0], (rho, [None] * len(gs.SEED_WIDTHS)))
+            admit(self, key, coeffs, rho, seed)
             most.append(undecided())
-            yield key, result
 
-    monkeypatch.setattr(gs._Flow, "admit", admitted)
-    monkeypatch.setattr(gs._Flow, "drop", dropping)
-    monkeypatch.setattr(gs._Flow, "run", running)
-    named = gs.named_thresholds(sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,))
-    paths = [named.rho_E.probes, named.rho_SW.probes, named.rho_star.probes, named.rho2[0.4].probes]
-    assert dropped
-    for (i, k), decided in dropped:
-        path = 0
-        while path < len(paths[i]) and decided.get((i, path)) == paths[i][path].rho:
-            path += 1
-        assert k >= path
-    assert max(most) == max(gs.SPECULATIVE_PROBES, 2 * len(paths))
+        def dropping(self, keys):
+            keys = list(keys)
+            decided = {probe: rho for probe, (rho, results) in flowing.items() if gs._decision(results)}
+            for probe in dict.fromkeys(k for k, _ in keys):
+                gone.add((probe, flowing.pop(probe)[0]))
+                dropped.append((probe, decided))
+            drop(self, keys)
+
+        def running(self):
+            for key, result in run(self):
+                flowing[key[0]][1][key[1]] = result
+                most.append(undecided())
+                yield key, result
+
+        monkeypatch.setattr(gs, "SPECULATIVE_PROBES", cap)
+        monkeypatch.setattr(gs._Flow, "admit", admitted)
+        monkeypatch.setattr(gs._Flow, "drop", dropping)
+        monkeypatch.setattr(gs._Flow, "run", running)
+        th = gs.threshold_mass(params, gs.triple_energy(params), bracket_tol=0.1)
+        assert dropped
+        for k, decided in dropped:
+            path = 0
+            while path < len(th.probes) and decided.get(path) == th.probes[path].rho:
+                path += 1
+            assert k >= path
+        assert max(most) <= cap
+        runs.append(((th.rho_lo, th.rho_hi), [(p.rho, p.verdict, [r.energy for r in p.results]) for p in th.probes]))
+    assert max(most) == 3
+    assert runs[0] == runs[1]
 
 
 def test_threshold_against_continuum_quadrature(params, threshold_energy):
@@ -560,6 +577,44 @@ def test_continuum_threshold_depends_only_on_lambda(params):
     r1 = continuum_threshold(params.q, params.p, a, b, g)
     r2 = continuum_threshold(params.q, params.p, 1.0, 1.0, lam)
     assert r1 == pytest.approx(r2, rel=1e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    q=st.floats(3.05, 4.85),
+    gap=st.floats(0.0, 1.0),
+    lams=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+)
+def test_threshold_law_against_the_quadrature(q, gap, lams):
+    """A referee of the law threshold_mass scales by, which calls none of
+    its code: for admissible (q, p) in d=1, the quadrature's thresholds of
+    the (1, 1, Lambda) triples at two Lambda obey
+    rho_0(Lambda_1) / rho_0(Lambda_2) = (Lambda_1 / Lambda_2)^(-kappa),
+    kappa = (4 - (q-1)) / (4(p - q)).  p - q >= 0.1 keeps the zero
+    crossing within the quadrature's amplitude search."""
+    p = q + 0.1 + gap * (4.95 - q - 0.1)
+    ModelParams(d=1, q=q, p=p, regime="scattering")
+    kappa = (4 - (q - 1)) / (4 * (p - q))
+    lam1, lam2 = lams
+    ratio = continuum_threshold(q, p, 1.0, 1.0, lam1) / continuum_threshold(q, p, 1.0, 1.0, lam2)
+    assert ratio == pytest.approx((lam1 / lam2) ** -kappa, rel=1e-6)
+
+
+def test_threshold_law_at_each_named_lambda(sparams, named):
+    """The same referee at each default named triple: its quadrature
+    threshold is the energy triple's times (Lambda / Lambda_E)^(-kappa),
+    kappa = 1/2 here."""
+    q, p = sparams.q, sparams.p
+    kappa = (4 - (q - 1)) / (4 * (p - q))
+    energy = gs.triple_energy(sparams)
+    rho_E = continuum_threshold(q, p, energy.alpha, energy.beta, energy.gamma)
+    triples = [gs.triple_standing_wave(sparams), gs.triple_star(sparams)]
+    triples += [gs.triple_rho1(sparams, a) for a in named.rho1]
+    triples += [gs.triple_rho2(sparams, e) for e in named.rho2]
+    for c in triples:
+        ratio = gs.lambda_reduction(c, sparams) / gs.lambda_reduction(energy, sparams)
+        rho = continuum_threshold(q, p, c.alpha, c.beta, c.gamma)
+        assert rho == pytest.approx(rho_E * ratio**-kappa, rel=1e-6)
 
 
 # ------------------------------------------------------ closed-form layer
@@ -633,6 +688,12 @@ def test_pure_focusing_exponent():
     assert gs.pure_focusing_exponent(ModelParams(d=1, q=4.0, p=4.5)) == pytest.approx(30.0)
 
 
+@pytest.mark.parametrize("d, q, p, kappa", [(1, 4.0, 4.5, 0.5), (1, 3.0, 4.0, 0.5), (2, 2.0, 2.5, 1.0), (3, 1.5, 2.0, 1.25)])
+def test_threshold_exponent(d, q, p, kappa):
+    """kappa = (4 - d(q-1)) / (4(p - q))."""
+    assert gs.threshold_exponent(ModelParams(d=d, q=q, p=p)) == pytest.approx(kappa)
+
+
 def test_named_thresholds_bisect_each_lambda_once(named):
     """rho_star and rho1(1.0) are the same triple, so one bisection."""
     assert named.rho_star is named.rho1[1.0]
@@ -657,11 +718,10 @@ def test_named_thresholds_match_threshold_mass(sparams):
         ]
 
 
-def test_named_thresholds_do_not_wait_on_decided_probes(sparams, monkeypatch):
-    """A bisection's next probe joins the running flow once its verdict
-    is known, so the flow makes fewer iterations (one flow_kick each) than
-    a lockstep schedule, in which every round of probes, one per
-    bisection, lasts as long as its slowest seed."""
+def test_named_thresholds_cost_one_bisection(sparams, monkeypatch):
+    """named_thresholds runs the energy triple's bisection and nothing
+    else: as many flow iterations (one flow_kick each) as threshold_mass
+    on the energy triple at the same bracket_tol."""
     kicks = []
     kick = backend.flow_kick
 
@@ -670,15 +730,10 @@ def test_named_thresholds_do_not_wait_on_decided_probes(sparams, monkeypatch):
         return kick(*args)
 
     monkeypatch.setattr(backend, "flow_kick", counted)
-    named = gs.named_thresholds(sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,))
-    bisections = {id(th): th for th in (named.rho_E, named.rho_SW, named.rho_star, named.rho2[0.4])}
-    logs = [th.probes for th in bisections.values()]
-    rounds = max(len(log) for log in logs)
-    lockstep = sum(
-        max(max(r.iterations for r in log[k].results) for log in logs if k < len(log))
-        for k in range(rounds)
-    )
-    assert len(kicks) < lockstep
+    gs.named_thresholds(sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,))
+    named_kicks = len(kicks)
+    gs.threshold_mass(sparams, gs.triple_energy(sparams), bracket_tol=0.1)
+    assert named_kicks == len(kicks) - named_kicks > 0
 
 
 def test_bracketing_error_carries_complete_probe_log(sparams):
