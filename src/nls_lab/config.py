@@ -83,7 +83,7 @@ _SCHEMA = {
         _parse_floats, "epsilon grid for rho2", (lambda v: all(0 < e < 1 for e in v), "entries must lie in (0, 1)")
     ),
     "max_iters": (int, "flow iteration budget", _at_least(1)),
-    "flow_dt": (float, "flow step", _POSITIVE),
+    "flow_dt": (float, "starting flow step", _POSITIVE),
     "residual_tol": (float, "flow residual tolerance", _POSITIVE),
     "seed": (int, "RNG seed for seed-profile jitter", _at_least(0)),
     "out_prefix": (str, "output path prefix", None),

@@ -52,6 +52,8 @@ SPECULATIVE_PROBES = 12
 SPREAD_FACTOR = 4.0
 STALL_WINDOW = 60
 STALL_FACTOR = 0.999
+# The largest kick dt * _kick_scale a flow's step may grow to (FlowOptions).
+KICK_TOL = 0.1
 # A flow's negativity tolerance tol_neg at mass rho^2, as .threshold.json
 # records it; _start_row evaluates this very expression.
 TOL_NEG_RULE = "1e-6 * rho**2"
@@ -78,14 +80,19 @@ class FlowOptions:
     for the -2 alpha Lap part, then renormalization to mass rho^2.  The
     kick is a real factor and the decay is real and even in k, so a real
     seed stays real: the flow steps real fields, with one real FFT pair
-    per step, and takes real seeds only.  The step halves whenever the
-    energy increases.  The flow stops once the
+    per step, and takes real seeds only.  dt is the starting step, cut
+    to 3/_kick_scale at the seed's peak amplitude.  The step halves
+    whenever the energy increases.  At a 10-iteration checkpoint after
+    10 steps none of which was rejected it doubles, if the doubled step
+    stays within max(dt_start, KICK_TOL / _kick_scale) at the state's
+    peak amplitude: so a spreading seed, whose peak falls, speeds up.
+    The flow stops once the
     absolute residual ||E'(u) - mu u||_2 falls below residual_tol, or on
     a zero-branch signature at near-zero energy: the rms width has grown
     SPREAD_FACTOR-fold (capped at L/5), or the last STALL_WINDOW accepted
     steps took less than 1 - STALL_FACTOR of the energy's total drop.
-    These, and the Gaussian seed widths SEED_WIDTHS of a probe, are
-    module constants, not options.
+    These, KICK_TOL, and the Gaussian seed widths SEED_WIDTHS of a probe,
+    are module constants, not options.
 
     polish=True continues past certified negativity toward the actual
     minimizer with a Sobolev-preconditioned projected gradient (_polish),
@@ -304,11 +311,11 @@ class _Flow:
     serves them all.  drop() removes rows, queued or running, before
     they yield a result.  Each row keeps its own iteration count (its
     checkpoints, its max_iters budget and the iterations _finish
-    reports), dt, energy history, truncation monitor, accept/reject and
-    stopping tests (FlowOptions), and is computed with the same
-    floating-point operations as when it runs alone, so its result does
-    not depend on the other rows, on when it joined or on which rows
-    were dropped.
+    reports), dt, energy history, truncation monitor, accept/reject,
+    step growth and stopping tests (FlowOptions), and is computed with
+    the same floating-point operations as when it runs alone, so its
+    result does not depend on the other rows, on when it joined or on
+    which rows were dropped.
 
     The state is a (rows, grid.size) float64 array; a seed must sample
     real (_start_row).  An iteration makes one rfftn and one irfftn over
@@ -372,6 +379,8 @@ class _Flow:
         new.residual = np.full(rows, np.inf)
         new.worst = np.zeros(rows)
         new.certified = np.zeros(rows, dtype=bool)
+        # No step was rejected since the row's last checkpoint.
+        new.clean = np.ones(rows, dtype=bool)
         # A ring of each row's last STALL_WINDOW + 1 accepted energies, the
         # one of its m-th accepted step in column m % (STALL_WINDOW + 1);
         # count[i] accepted energies, the start's included, have been seen.
@@ -428,6 +437,7 @@ class _Flow:
             s.certified = accept & (energy < -s.tol_neg)
             stop = s.certified.copy()
             if reject.any():
+                s.clean &= accept
                 s.dt[reject] *= 0.5
                 stop = stop | (reject & (s.dt < 1e-18 * s.dt_start))
                 s.aq[reject], s.ap[reject], s.decay[reject] = _step_arrays(s, reject, params, self.k_sq)
@@ -451,6 +461,8 @@ class _Flow:
                 if c.size:
                     stop[c] = _checkpoint(s, c, hat[c] * scale[c, None], self.k_sq, grid, params, opts)
                 stop |= last
+            if it % 10 == 0:
+                self._grow(s, ~stop)
             if stop.any():
                 done = s.take(stop & ~s.dropped)
                 self._keep(~stop)
@@ -458,6 +470,27 @@ class _Flow:
                     (key, _finish(params, grid, opts, it - int(done.joined[j]), done, j))
                     for j, key in enumerate(done.key)
                 ]
+
+    def _grow(self, s, rows):
+        """At a checkpoint, double the dt of the given rows of s that
+        rejected no step since the last one, where the doubled step stays
+        within max(dt_start, KICK_TOL / _kick_scale) at the row's peak
+        amplitude (FlowOptions); every row starts a clean window."""
+        grow = np.flatnonzero(rows & s.clean)
+        s.clean[:] = True
+        amp = np.abs(s.vals[grow]).max(-1, initial=0.0)
+        with np.errstate(divide="ignore"):
+            kick = _kick_scale(self.params, s.beta[grow], s.gamma[grow], amp)
+            grow = grow[2.0 * s.dt[grow] <= np.maximum(s.dt_start[grow], KICK_TOL / kick)]
+        s.dt[grow] *= 2.0
+        s.aq[grow], s.ap[grow], s.decay[grow] = _step_arrays(s, grow, self.params, self.k_sq)
+
+
+def _kick_scale(params, beta, gamma, amp):
+    """(q+1) beta amp^{q-1} + (p+1) gamma amp^{p-1}: the scale of the
+    energy gradient's pointwise part at amplitude amp, which a flow step
+    dt multiplies in the kick."""
+    return (params.q + 1) * beta * amp ** (params.q - 1.0) + (params.p + 1) * gamma * amp ** (params.p - 1.0)
 
 
 def _step_arrays(s, rows, params, k_sq):
@@ -496,11 +529,7 @@ def _start_row(params, grid, coeffs, rho, seed, opts):
     energy = breakdown(field, params, coeffs).total
     # Explicit-kick stability: dt * (nonlinear gradient scale) must stay
     # below order one; deep wells (huge amplitudes) need tiny steps.
-    amp0 = float(np.abs(field.values).max())
-    kick_scale = (
-        (params.q + 1) * coeffs.beta * amp0 ** (params.q - 1.0)
-        + (params.p + 1) * coeffs.gamma * amp0 ** (params.p - 1.0)
-    )
+    kick_scale = _kick_scale(params, coeffs.beta, coeffs.gamma, float(np.abs(field.values).max()))
     dt = min(opts.dt, 3.0 / kick_scale) if kick_scale > 0 else opts.dt
     return field.values.real.reshape(-1), dict(
         alpha=coeffs.alpha,
@@ -941,8 +970,6 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     runs its probes as rows of one flow, planned up to SPECULATIVE_PROBES
     ahead (_bisect).
     """
-    if params.regime not in ("variational", "scattering"):
-        raise ValueError("threshold bisection needs an admissible regime")
     f = _law_factor(params, coeffs)
     th = _bisect(params, bracket_tol, opts, rng)
     return ThresholdResult(f * th.rho_lo, f * th.rho_hi, th.probes)

@@ -328,6 +328,71 @@ def test_flow_rejects_complex_seed(params):
         gs.minimize_on_sphere(params, gs.triple_energy(params), 1.0, seed=seed)
 
 
+def test_a_wide_seed_at_low_mass_spreads_in_few_iterations(params):
+    """A wide seed at low mass spreads by nearly linear heat steps whose
+    kick is tiny, so its step doubles at each clean checkpoint: a width-8
+    seed at rho=0.05 lands on the spreading signature within 200
+    iterations (about 2,300 at a fixed step)."""
+    seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=8.0)
+    res = gs.minimize_on_sphere(params, gs.triple_energy(params), 0.05, seed=seed)
+    assert res.classification == "spread_to_zero_energy"
+    assert res.iterations <= 200
+
+
+def test_flow_step_grows_only_after_clean_windows_and_within_the_kick_limit(params, monkeypatch):
+    """Every change of a row's dt after its start is a halving on a
+    rejected step or a doubling at a 10-iteration checkpoint.  A doubling
+    follows a window of 10 iterations with no rejected step, and keeps dt
+    within max(dt_start, KICK_TOL / _kick_scale) at the row's peak
+    amplitude.  At dt=0.5 and rho=2.6 the narrow seed both halves and
+    grows."""
+    kicks = []
+    kick = backend.flow_kick
+    step_arrays = gs._step_arrays
+    dts = {}  # key -> the row's dt at its last _step_arrays call
+    halved = {}  # key -> the flow iteration of its last halving
+    events = []
+
+    def counted(*args):
+        kicks.append(1)
+        return kick(*args)
+
+    def checked(s, rows, p, k_sq):
+        it = len(kicks)
+        for key, dt, dt_start, beta, gamma, vals in zip(
+            s.key[rows], s.dt[rows], s.dt_start[rows], s.beta[rows], s.gamma[rows], s.vals[rows]
+        ):
+            if key not in dts:
+                events.append("start")
+            elif dt == 0.5 * dts[key]:
+                events.append("halve")
+                halved[key] = it
+            else:
+                events.append("grow")
+                assert dt == 2.0 * dts[key]
+                assert it % 10 == 0 and halved.get(key, -1) <= it - 10
+                amp = np.abs(vals).max()
+                assert dt <= max(dt_start, gs.KICK_TOL / gs._kick_scale(p, beta, gamma, amp))
+            dts[key] = dt
+        return step_arrays(s, rows, p, k_sq)
+
+    monkeypatch.setattr(backend, "flow_kick", counted)
+    monkeypatch.setattr(gs, "_step_arrays", checked)
+    coeffs = gs.triple_energy(params)
+    gs._flow_rows(params, gs.default_grid(1), [coeffs] * 3, [2.6] * 3, gs._seeds(None), gs.FlowOptions(dt=0.5))
+    assert {"halve", "grow"} <= set(events)
+
+
+def test_energy_triple_bracket_and_verdicts_at_half_a_percent(params):
+    """The step growth keeps the bisection's bracket and verdicts: the
+    dyadic bracket and the verdict sequence of the fixed-step flow."""
+    th = gs.threshold_mass(params, gs.triple_energy(params), bracket_tol=0.005, rng=np.random.default_rng(1))
+    assert (th.rho_lo, th.rho_hi) == (2.5056640625, 2.51533203125)
+    assert [p.verdict for p in th.probes] == (
+        ["zero", "negative", "negative"] + ["zero"] * 6 + ["unresolved", "negative"]
+    )
+
+
 def test_polished_minimizer_matches_soliton_quadrature(params):
     """At twice the threshold mass the polished minimizer is the soliton
     of the independent quadrature, not just any dilation-stationary
@@ -381,16 +446,25 @@ def test_speculative_successors_are_invisible_and_pay(params, monkeypatch):
     """A bisection plans past every decided probe, speculating 'zero' for
     each undecided one.  Its first and last probes are still what
     _flow_rows gives the k-th _seeds draw at their masses, and on this
-    config it makes exactly as many flow iterations (one flow_kick each)
-    as its slowest path seed: no path probe waits on another's verdict."""
+    config its flow iterations (one flow_kick each) end with its last
+    path seed: they are the most, over path seeds, of the flow iteration
+    the seed joined at plus its own iterations.  A path probe may wait on
+    an earlier probe's verdict, but no flow runs on past the path."""
     kicks = []
+    joined = {}
     kick = backend.flow_kick
+    join = gs._Flow._join
 
     def counted(*args):
         kicks.append(1)
         return kick(*args)
 
+    def recorded(flow):
+        joined.update((key, len(kicks)) for key, _ in flow.queue)
+        return join(flow)
+
     monkeypatch.setattr(backend, "flow_kick", counted)
+    monkeypatch.setattr(gs._Flow, "_join", recorded)
     coeffs = gs.triple_energy(params)
     th = gs.threshold_mass(params, coeffs, bracket_tol=0.02, rng=np.random.default_rng(3))
     bisection_kicks = len(kicks)
@@ -404,7 +478,9 @@ def test_speculative_successors_are_invisible_and_pay(params, monkeypatch):
         assert [_row_key(r) for r in alone] == [_row_key(r) for r in pr.results]
 
     assert {pr.verdict for pr in th.probes} == {"zero", "negative"}
-    assert bisection_kicks == max(r.iterations for pr in th.probes for r in pr.results)
+    assert bisection_kicks == max(
+        joined[k, j] + r.iterations for k, pr in enumerate(th.probes) for j, r in enumerate(pr.results)
+    )
 
 
 def _seed_result(classification, energy=0.0, width_ratio=4.0):
@@ -700,9 +776,9 @@ def test_named_thresholds_bisect_each_lambda_once(named):
 
 
 def test_named_thresholds_match_threshold_mass(sparams):
-    """The bisections sharing one flow give every named entry the bracket
-    and the probe log (masses, verdicts, seed energies) of its own
-    threshold_mass run."""
+    """named_thresholds' one bisection, scaled by the threshold law, gives
+    every named entry the bracket and the probe log (masses, verdicts,
+    seed energies) of its own threshold_mass run."""
     named = gs.named_thresholds(sparams, bracket_tol=0.1, A_grid=(1.0,), eps_grid=(0.4,))
     entries = (
         (named.rho_E, gs.triple_energy(sparams)),
