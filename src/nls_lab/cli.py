@@ -35,6 +35,14 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _native_threads():
+    """Native threads of this process, or None where /proc is absent."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
 class Emitter:
     """Writes artifacts under a prefix and records their checksums."""
 
@@ -66,6 +74,9 @@ class Emitter:
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             "checksums": self.checksums,
             "sound": sound_flags,
+            "numpy_version": np.__version__,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "native_threads": _native_threads(),
         }
         # json serializes doc before write adds the manifest's own
         # checksum, so the manifest lists every artifact but itself.

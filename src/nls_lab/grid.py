@@ -1,6 +1,5 @@
 """Periodic-box discretization, complex fields, and analytic seed profiles."""
 
-import io
 import struct
 import warnings
 from dataclasses import dataclass
@@ -200,21 +199,13 @@ _HEADER = struct.Struct("<qqd")
 
 def field_to_bytes(field):
     g = field.grid
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(g.d, g.n, g.L))
-    inter = np.empty(2 * g.size)
-    flat = field.values.ravel()
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    buf.write(inter.astype("<f8").tobytes())
-    return buf.getvalue()
+    return _HEADER.pack(g.d, g.n, g.L) + field.values.astype("<c16").tobytes()
 
 
 def field_from_bytes(data):
     d, n, L = _HEADER.unpack_from(data)
     grid = Grid(d=d, n=n, L=L)
-    inter = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    if inter.size != 2 * grid.size:
+    if len(data) - _HEADER.size != 16 * grid.size:
         raise ValueError("payload size does not match header")
-    vals = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
+    vals = np.frombuffer(data, dtype="<c16", offset=_HEADER.size).astype(complex).reshape(grid.shape)
     return Field(grid, vals)

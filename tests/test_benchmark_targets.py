@@ -1,8 +1,9 @@
 """The benchmark (perfbench/) drives nls_lab by name: its tracer
-(tracing.py) wraps functions that must exist, and its workloads
-(workloads.py) run configs that every subcommand must still accept, and
-whose outputs must pass the workloads' own checks, or benchmark runs
-fail."""
+(tracing.py) wraps functions that must exist, its runner (run.py) passes
+`--workers 1` to every subcommand, its set-up probe (setup_probe.py)
+calls backend.backend_name(), and its workloads (workloads.py) run
+configs that every subcommand must still accept, and whose outputs must
+pass the workloads' own checks, or benchmark runs fail."""
 
 import importlib
 import importlib.util
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from nls_lab import cli
-from nls_lab.config import parse_config
+from nls_lab import backend, cli
+from nls_lab.config import SUBCOMMANDS, parse_config
 
 
 def _perfbench(name):
@@ -28,6 +29,18 @@ def test_traced_targets_resolve():
         if clsname is not None:
             owner = getattr(owner, clsname, None)
         assert callable(getattr(owner, attr, None)), f"{span}: {modname} {clsname or ''} {attr} is missing"
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_runner_arguments_parse(subcommand, tmp_path):
+    """run.py's `--workers 1` parses on every subcommand: a missing config
+    file is the config error the run reports, not an argument error."""
+    argv = [subcommand, "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "o"), "--workers", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+
+
+def test_setup_probe_names_resolve():
+    assert isinstance(backend.backend_name(), str)
 
 
 @pytest.mark.parametrize("tiny", [False, True])

@@ -117,6 +117,19 @@ def test_binary_roundtrip_and_header_layout():
     assert re0 == f.values[0].real and im0 == f.values[0].imag
 
 
+def test_binary_bytes_are_header_then_interleaved_float64():
+    """The payload is the samples in C order, each as a little-endian
+    float64 re/im pair; the field read back is writable."""
+    g = Grid(d=2, n=8, L=6.0)
+    rng = np.random.default_rng(1)
+    f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    pairs = [x for v in f.values.ravel().tolist() for x in (v.real, v.imag)]
+    assert field_to_bytes(f) == struct.pack("<qqd", 2, 8, 6.0) + struct.pack(f"<{len(pairs)}d", *pairs)
+    back = field_from_bytes(field_to_bytes(f))
+    assert np.array_equal(back.values, f.values)
+    back.values[0, 0] = 0.0
+
+
 def test_binary_payload_mismatch():
     g = Grid(d=1, n=32, L=8.0)
     blob = field_to_bytes(Field(g, np.ones(32, dtype=complex)))
