@@ -40,7 +40,8 @@ def flow_kick(values, aq, ap, pq, pp):
     values is a real array, one field per row along its last axis; pq
     and pp are |v|^{q-1} and |v|^{p-1}, precomputed, of the same shape;
     aq and ap are scalars or arrays that broadcast against it, such as
-    one (rows, 1) column of per-row weights.
+    the flow's (rows, 1) columns dt (q+1) beta and dt (p+1) gamma, whose
+    per-row weights come from each row's dt.
     """
     return values * (1.0 - aq * pq + ap * pp)
 

@@ -92,7 +92,9 @@ class FlowOptions:
     SPREAD_FACTOR-fold (capped at L/5), or the last STALL_WINDOW accepted
     steps took less than 1 - STALL_FACTOR of the energy's total drop.
     These, KICK_TOL, and the Gaussian seed widths SEED_WIDTHS of a probe,
-    are module constants, not options.
+    are module constants, not options.  The options, like the triple,
+    hold for a whole flow batch (_Flow); each row owns its mass, seed,
+    step and stopping tests.
 
     polish=True continues past certified negativity toward the actual
     minimizer with a Sobolev-preconditioned projected gradient (_polish),
@@ -183,14 +185,14 @@ def _powers(v, params):
     return a ** (params.q - 1.0), a ** (params.p - 1.0)
 
 
-def _energy_gradient(v, hat, pq, pp, k_sq, grid, params, alpha, beta, gamma):
+def _energy_gradient(v, hat, pq, pp, k_sq, grid, params, coeffs):
     """E'(u) = -2 alpha Lap u + (q+1) beta |u|^{q-1} u
-    - (p+1) gamma |u|^{p-1} u for every row of v, a (rows, grid.size)
-    real array, given its half-spectrum hat, its powers pq, pp (_powers)
-    and the half-spectrum's k_sq (_half_spectrum): one inverse FFT and no
-    pow.  The coefficients are scalars or (rows, 1) columns."""
-    lin = _rfft(2.0 * alpha * k_sq * hat, grid, inverse=True)
-    return lin + ((params.q + 1) * beta * pq - (params.p + 1) * gamma * pp) * v
+    - (p+1) gamma |u|^{p-1} u under the triple coeffs for every row of v,
+    a (rows, grid.size) real array, given its half-spectrum hat, its
+    powers pq, pp (_powers) and the half-spectrum's k_sq (_half_spectrum):
+    one inverse FFT and no pow."""
+    lin = _rfft(2.0 * coeffs.alpha * k_sq * hat, grid, inverse=True)
+    return lin + ((params.q + 1) * coeffs.beta * pq - (params.p + 1) * coeffs.gamma * pp) * v
 
 
 def _defect(v, g, vol):
@@ -202,12 +204,12 @@ def _defect(v, g, vol):
     return np.sqrt((r * r).sum(-1) * vol)
 
 
-def _residual(v, grid, params, alpha, beta, gamma):
+def _residual(v, grid, params, coeffs):
     """|| E'(u) - mu u ||_2 for every row of v (_defect), from scratch;
     arguments as for _energy_gradient."""
     pq, pp = _powers(v, params)
     k_sq = _half_spectrum(grid)[0]
-    g = _energy_gradient(v, _rfft(v, grid), pq, pp, k_sq, grid, params, alpha, beta, gamma)
+    g = _energy_gradient(v, _rfft(v, grid), pq, pp, k_sq, grid, params, coeffs)
     return _defect(v, g, grid.cell_volume)
 
 
@@ -265,7 +267,7 @@ def minimize_on_sphere(params, coeffs, rho, opts=None, grid=None, seed=None):
             grid, seed = _dilation_fit(params, coeffs, rho, seed)
         else:
             grid = default_grid(params.d)
-    return _flow_rows(params, grid, [coeffs], [rho], [seed], opts)[0]
+    return _flow_rows(params, grid, coeffs, [rho], [seed], opts)[0]
 
 
 class _Rows:
@@ -283,24 +285,25 @@ class _Rows:
 
 
 def _flow_rows(params, grid, coeffs, rhos, seeds, opts):
-    """Run one normalized gradient flow per row: a _Flow batch with every
-    row admitted at the start, keyed by its index, and none later.
+    """Run one normalized gradient flow per row: a _Flow batch of the
+    triple coeffs with every row admitted at the start, keyed by its
+    index, and none later.
 
     Row i flows seeds[i], an AnalyticProfile sampled on grid, at mass
-    rhos[i]^2 under the triple coeffs[i]; params, grid and opts are
-    shared.  Returns one MinimizeResult per row, in order, each bit for
-    bit the result of that row run alone.
+    rhos[i]^2; params, grid, coeffs and opts are shared.  Returns one
+    MinimizeResult per row, in order, each bit for bit the result of that
+    row run alone.
     """
-    flow = _Flow(params, grid, opts)
-    for i, row in enumerate(zip(coeffs, rhos, seeds)):
+    flow = _Flow(params, grid, coeffs, opts)
+    for i, row in enumerate(zip(rhos, seeds)):
         flow.admit(i, *row)
     results = dict(flow.run())
     return [results[i] for i in range(len(seeds))]
 
 
 class _Flow:
-    """A batch of normalized gradient flows, one per row, that admits rows
-    while it runs and drops rows on request.
+    """A batch of normalized gradient flows of one triple, one per row,
+    that admits rows while it runs and drops rows on request.
 
     admit() queues a row under a key; run() steps the batch until no row
     runs and none is queued, and yields (key, MinimizeResult) for each
@@ -309,13 +312,14 @@ class _Flow:
     10-iteration boundary, or at once when no row runs, so all rows share
     one checkpoint cadence and one _checkpoint call every 10 iterations
     serves them all.  drop() removes rows, queued or running, before
-    they yield a result.  Each row keeps its own iteration count (its
+    they yield a result.  params, grid, the triple coeffs and opts are
+    the batch's; each row owns its mass, seed, iteration count (its
     checkpoints, its max_iters budget and the iterations _finish
-    reports), dt, energy history, truncation monitor, accept/reject,
-    step growth and stopping tests (FlowOptions), and is computed with
-    the same floating-point operations as when it runs alone, so its
-    result does not depend on the other rows, on when it joined or on
-    which rows were dropped.
+    reports), dt, from which its kick weights follow, energy history,
+    truncation monitor, accept/reject, step growth and stopping tests
+    (FlowOptions), and is computed with the same floating-point
+    operations as when it runs alone, so its result does not depend on
+    the other rows, on when it joined or on which rows were dropped.
 
     The state is a (rows, grid.size) float64 array; a seed must sample
     real (_start_row).  An iteration makes one rfftn and one irfftn over
@@ -329,8 +333,8 @@ class _Flow:
     inverse FFT and no pow.
     """
 
-    def __init__(self, params, grid, opts):
-        self.params, self.grid, self.opts = params, grid, opts
+    def __init__(self, params, grid, coeffs, opts):
+        self.params, self.grid, self.coeffs, self.opts = params, grid, coeffs, opts
         self.k_sq, weight = _half_spectrum(grid)
         # Kinetic energy of a half-spectrum by Parseval: h^d/N sum(w k^2 |hat|^2).
         self.kinetic_weight = weight * self.k_sq * (grid.cell_volume / grid.size)
@@ -341,10 +345,10 @@ class _Flow:
         # count, and the (key, result) of stopped rows not yet yielded.
         self.rows, self.it, self.stopped = None, 0, []
 
-    def admit(self, key, coeffs, rho, seed):
-        """Queue a row flowing seed at mass rho^2 under coeffs; run()
-        yields key with its MinimizeResult when it stops."""
-        self.queue.append((key, _start_row(self.params, self.grid, coeffs, rho, seed, self.opts)))
+    def admit(self, key, rho, seed):
+        """Queue a row flowing seed at mass rho^2; run() yields key with
+        its MinimizeResult when it stops."""
+        self.queue.append((key, _start_row(self.params, self.grid, self.coeffs, rho, seed, self.opts)))
 
     def drop(self, keys):
         """Remove the rows under keys, queued, running, or stopped and not
@@ -387,13 +391,13 @@ class _Flow:
         new.history = np.empty((rows, STALL_WINDOW + 1))
         new.history[:, 0] = new.energy
         new.count = np.ones(rows, dtype=int)
-        new.aq, new.ap, new.decay = _step_arrays(new, slice(None), self.params, self.k_sq)
+        new.decay = _decay(new.dt, self.coeffs, self.k_sq)
         self.rows = new if self.rows is None else self.rows.join(new)
 
     def run(self):
         """Step the batch until no row runs and none is queued, yielding
         (key, MinimizeResult) for each row as it stops."""
-        params, grid, opts = self.params, self.grid, self.opts
+        params, grid, coeffs, opts = self.params, self.grid, self.coeffs, self.opts
         vol = grid.cell_volume
         while True:
             while self.stopped:
@@ -407,7 +411,9 @@ class _Flow:
                 return
             self.it = it = self.it + 1
             # Explicit nonlinear kick on the energy gradient's pointwise part.
-            trial = backend.flow_kick(s.vals, s.aq, s.ap, s.pq, s.pp)
+            aq = (s.dt * (params.q + 1) * coeffs.beta)[:, None]
+            ap = (s.dt * (params.p + 1) * coeffs.gamma)[:, None]
+            trial = backend.flow_kick(s.vals, aq, ap, s.pq, s.pp)
             # Exact decay for the -2 alpha Lap part.
             hat = _rfft(trial, grid)
             hat *= s.decay
@@ -427,7 +433,7 @@ class _Flow:
             kinetic = np.vecdot(hat, self.kinetic_weight * hat).real * scale**2
             sq = np.vecdot(pq, v2) * vol
             sp = np.vecdot(pp, v2) * vol
-            energy = s.alpha * kinetic + s.beta * sq - s.gamma * sp
+            energy = coeffs.alpha * kinetic + coeffs.beta * sq - coeffs.gamma * sp
             truncation = np.vecdot(v2, self.outside) / s.rho**2
 
             # A step that raises the energy is undone and retried at half dt.
@@ -440,7 +446,7 @@ class _Flow:
                 s.clean &= accept
                 s.dt[reject] *= 0.5
                 stop = stop | (reject & (s.dt < 1e-18 * s.dt_start))
-                s.aq[reject], s.ap[reject], s.decay[reject] = _step_arrays(s, reject, params, self.k_sq)
+                s.decay[reject] = _decay(s.dt[reject], coeffs, self.k_sq)
                 # Rejected rows keep their state; 0 leaves their monitor as it was.
                 trial[reject] = s.vals[reject]
                 pq[reject] = s.pq[reject]
@@ -459,7 +465,7 @@ class _Flow:
             if it % 10 == 0 or last.any():
                 c = np.flatnonzero(accept & ~s.certified & (last | (it % 10 == 0)))
                 if c.size:
-                    stop[c] = _checkpoint(s, c, hat[c] * scale[c, None], self.k_sq, grid, params, opts)
+                    stop[c] = self._checkpoint(s, c, hat[c] * scale[c, None])
                 stop |= last
             if it % 10 == 0:
                 self._grow(s, ~stop)
@@ -467,7 +473,7 @@ class _Flow:
                 done = s.take(stop & ~s.dropped)
                 self._keep(~stop)
                 self.stopped = [
-                    (key, _finish(params, grid, opts, it - int(done.joined[j]), done, j))
+                    (key, _finish(params, coeffs, grid, opts, it - int(done.joined[j]), done, j))
                     for j, key in enumerate(done.key)
                 ]
 
@@ -480,34 +486,52 @@ class _Flow:
         s.clean[:] = True
         amp = np.abs(s.vals[grow]).max(-1, initial=0.0)
         with np.errstate(divide="ignore"):
-            kick = _kick_scale(self.params, s.beta[grow], s.gamma[grow], amp)
+            kick = _kick_scale(self.params, self.coeffs, amp)
             grow = grow[2.0 * s.dt[grow] <= np.maximum(s.dt_start[grow], KICK_TOL / kick)]
         s.dt[grow] *= 2.0
-        s.aq[grow], s.ap[grow], s.decay[grow] = _step_arrays(s, grow, self.params, self.k_sq)
+        s.decay[grow] = _decay(s.dt[grow], self.coeffs, self.k_sq)
+
+    def _checkpoint(self, s, c, hat):
+        """The every-10-iterations tests of rows c of s, just accepted, whose
+        half-spectra are hat: store their residuals, from that spectrum and
+        the rows' carried powers, and return which rows stop, on the
+        residual, the spreading signature or a stall."""
+        grid = self.grid
+        vals = s.vals[c]
+        g = _energy_gradient(vals, hat, s.pq[c], s.pp[c], self.k_sq, grid, self.params, self.coeffs)
+        s.residual[c] = _defect(vals, g, grid.cell_volume)
+        energy = s.energy[c]
+        spread = _spreading(s, c, energy, _rms_width(vals * vals, grid))
+        recent_drop = s.history[c, np.maximum(s.count[c] - STALL_WINDOW, 0) % (STALL_WINDOW + 1)] - energy
+        scale = np.maximum(np.abs(s.energy0[c] - energy), s.tol_neg[c])
+        stall = (
+            (s.count[c] > STALL_WINDOW)
+            & (np.abs(energy) < s.tol_spread[c])
+            & (recent_drop < (1 - STALL_FACTOR) * scale)
+        )
+        return (s.residual[c] < self.opts.residual_tol) | spread | stall
 
 
-def _kick_scale(params, beta, gamma, amp):
+def _kick_scale(params, coeffs, amp):
     """(q+1) beta amp^{q-1} + (p+1) gamma amp^{p-1}: the scale of the
     energy gradient's pointwise part at amplitude amp, which a flow step
     dt multiplies in the kick."""
-    return (params.q + 1) * beta * amp ** (params.q - 1.0) + (params.p + 1) * gamma * amp ** (params.p - 1.0)
-
-
-def _step_arrays(s, rows, params, k_sq):
-    """The kick weights and the spectral decay factor of the given rows
-    of s, from their dt."""
-    dt = s.dt[rows]
     return (
-        (dt * (params.q + 1) * s.beta[rows])[:, None],
-        (dt * (params.p + 1) * s.gamma[rows])[:, None],
-        np.exp((-2.0 * s.alpha[rows] * dt)[:, None] * k_sq),
+        (params.q + 1) * coeffs.beta * amp ** (params.q - 1.0)
+        + (params.p + 1) * coeffs.gamma * amp ** (params.p - 1.0)
     )
 
 
+def _decay(dt, coeffs, k_sq):
+    """The spectral decay factor e^{-2 alpha dt k^2} of rows stepping dt,
+    an array with one entry per row, as a (rows, k_sq.size) array."""
+    return np.exp((-2.0 * coeffs.alpha * dt)[:, None] * k_sq)
+
+
 def _start_row(params, grid, coeffs, rho, seed, opts):
-    """The starting state of one flow row: the seed profile sampled on
-    grid at mass rho^2, as a flattened real array, and its coefficients,
-    energy, step and the scales of its stopping tests.  The flow keeps a
+    """The starting state of one flow row of the triple coeffs: the seed
+    profile sampled on grid at mass rho^2, as a flattened real array, and
+    its energy, step and the scales of its stopping tests.  The flow keeps a
     real state real, and steps real rows only: a seed whose samples are
     not real (a chirp) raises ValueError."""
     if rho <= 0:
@@ -529,12 +553,9 @@ def _start_row(params, grid, coeffs, rho, seed, opts):
     energy = breakdown(field, params, coeffs).total
     # Explicit-kick stability: dt * (nonlinear gradient scale) must stay
     # below order one; deep wells (huge amplitudes) need tiny steps.
-    kick_scale = _kick_scale(params, coeffs.beta, coeffs.gamma, float(np.abs(field.values).max()))
+    kick_scale = _kick_scale(params, coeffs, float(np.abs(field.values).max()))
     dt = min(opts.dt, 3.0 / kick_scale) if kick_scale > 0 else opts.dt
     return field.values.real.reshape(-1), dict(
-        alpha=coeffs.alpha,
-        beta=coeffs.beta,
-        gamma=coeffs.gamma,
         rho=rho,
         dt=dt,
         dt_start=dt,
@@ -545,30 +566,6 @@ def _start_row(params, grid, coeffs, rho, seed, opts):
         spread_target=spread_target,
         width0=width0,
     )
-
-
-def _checkpoint(s, c, hat, k_sq, grid, params, opts):
-    """The every-10-iterations tests of rows c of s, just accepted, whose
-    half-spectra are hat (k_sq as in _half_spectrum): store their
-    residuals, from that spectrum and the rows' carried powers, and
-    return which rows stop, on the residual, the spreading signature or a
-    stall."""
-    vals = s.vals[c]
-    g = _energy_gradient(
-        vals, hat, s.pq[c], s.pp[c], k_sq, grid, params,
-        s.alpha[c, None], s.beta[c, None], s.gamma[c, None],
-    )
-    s.residual[c] = _defect(vals, g, grid.cell_volume)
-    energy = s.energy[c]
-    spread = _spreading(s, c, energy, _rms_width(vals * vals, grid))
-    recent_drop = s.history[c, np.maximum(s.count[c] - STALL_WINDOW, 0) % (STALL_WINDOW + 1)] - energy
-    scale = np.maximum(np.abs(s.energy0[c] - energy), s.tol_neg[c])
-    stall = (
-        (s.count[c] > STALL_WINDOW)
-        & (np.abs(energy) < s.tol_spread[c])
-        & (recent_drop < (1 - STALL_FACTOR) * scale)
-    )
-    return (s.residual[c] < opts.residual_tol) | spread | stall
 
 
 def _spreading(rows, i, energy, width):
@@ -584,12 +581,12 @@ def _rms_width(a2, grid):
     return np.sqrt((grid.x_sq.reshape(-1) * a2).sum(-1) * vol) / np.sqrt(a2.sum(-1) * vol)
 
 
-def _finish(params, grid, opts, it, rows, j):
-    """The MinimizeResult of row j of rows, stopped after it iterations:
-    _polish if asked, then the residual, classification and soundness.
-    A row that stopped uncertified without the spreading signature, also
-    on the stall test before its budget ran out, is 'budget_exhausted'."""
-    coeffs = CoeffTriple(float(rows.alpha[j]), float(rows.beta[j]), float(rows.gamma[j]))
+def _finish(params, coeffs, grid, opts, it, rows, j):
+    """The MinimizeResult of row j of rows, flowing the triple coeffs and
+    stopped after it iterations: _polish if asked, then the residual,
+    classification and soundness.  A row that stopped uncertified without
+    the spreading signature, also on the stall test before its budget ran
+    out, is 'budget_exhausted'."""
     rho = float(rows.rho[j])
     vals = rows.vals[j]
     energy = float(rows.energy[j])
@@ -604,9 +601,7 @@ def _finish(params, grid, opts, it, rows, j):
         it += polish_iters
     final = Field(grid, vals.reshape(grid.shape))
     if certified or not np.isfinite(residual):
-        residual = float(
-            _residual(vals[None], grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma)[0]
-        )
+        residual = float(_residual(vals[None], grid, params, coeffs)[0])
     width = float(_rms_width((vals * vals)[None], grid)[0])
     width0 = rows.width0[j]
     width_ratio = float(width / width0) if width0 > 0 else np.inf
@@ -684,9 +679,7 @@ def _polish(params, coeffs, rho, grid, vals, residual_tol, budget):
     for it in range(budget):
         u_hat = _rfft(u, grid)
         pq, pp = _powers(u, params)
-        grad = _energy_gradient(
-            u, u_hat, pq, pp, k_sq, grid, params, coeffs.alpha, coeffs.beta, coeffs.gamma
-        )
+        grad = _energy_gradient(u, u_hat, pq, pp, k_sq, grid, params, coeffs)
         mu = float((grad * u).sum()) * vol / rho**2
         r = grad - mu * u
         if np.sqrt((r * r).sum() * vol) <= residual_tol * abs(mu) * rho:
@@ -779,7 +772,7 @@ def probe(params, coeffs, rho):
     as rows of one _flow_rows batch with the default FlowOptions on
     default_grid(params.d), and classify the probe (ProbeResult)."""
     n = len(SEED_WIDTHS)
-    results = _flow_rows(params, default_grid(params.d), [coeffs] * n, [rho] * n, _seeds(None), FlowOptions())
+    results = _flow_rows(params, default_grid(params.d), coeffs, [rho] * n, _seeds(None), FlowOptions())
     return _verdict(rho, results)
 
 
@@ -877,7 +870,7 @@ def _bisect(params, bracket_tol, opts, rng):
     if opts is None:
         opts = FlowOptions()
     coeffs = energy_coeffs(params)
-    flow = _Flow(params, default_grid(params.d), opts)
+    flow = _Flow(params, default_grid(params.d), coeffs, opts)
     seeds = range(len(SEED_WIDTHS))
     verdicts = []
     # draws[k] is the k-th _seeds draw, for probe k.
@@ -925,7 +918,7 @@ def _bisect(params, bracket_tol, opts, rng):
                     draws.append(_seeds(rng))
                 probes[k] = rho, [None] * len(seeds)
                 for j, seed in enumerate(draws[k]):
-                    flow.admit((k, j), coeffs, rho, seed)
+                    flow.admit((k, j), rho, seed)
 
     replan()
     for (k, j), result in flow.run():

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
+
+import pytest
 
 import nls_lab
 from nls_lab import cli, config
@@ -99,3 +102,13 @@ def test_handlers_read_only_keys_of_their_subcommand():
         required, optional = config._KEYS[sub]
         stray += [f"{sub}: {k}" for k in sorted(ks - {*required, *optional})]
     assert stray == []
+
+
+def test_numpy_floor_has_vecdot():
+    """The flow calls np.vecdot, new in numpy 2.0, so pyproject.toml must
+    not admit an older numpy."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    floors = [re.fullmatch(r"numpy\s*>=\s*([\d.]+)", dep) for dep in project["dependencies"]]
+    (floor,) = [m.group(1) for m in floors if m]
+    assert tuple(int(x) for x in floor.split(".")[:2]) >= (2, 0)

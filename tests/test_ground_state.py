@@ -101,32 +101,29 @@ def _row_key(r):
     )
 
 
-_ROWS = st.lists(
-    st.tuples(st.floats(0.3, 4.0), st.floats(0.1, 0.4), st.floats(0.6, 3.0)),
-    min_size=1,
-    max_size=5,
-)
+_ROWS = st.lists(st.tuples(st.floats(0.3, 4.0), st.floats(0.6, 3.0)), min_size=1, max_size=5)
+# The batch's gamma, one per example: a batch flows one triple (0.5, 0.2, gamma).
+_GAMMA = st.floats(0.1, 0.4)
 
 
-def _assert_rows_match_alone(params, grid, rows, max_iters, dt, shuffle):
-    """Rows (rho, gamma, seed width) flowed as one batch, in shuffled
-    order, give bit for bit what each gives run alone, and a second run
-    of the batch gives the same results."""
+def _assert_rows_match_alone(params, grid, gamma, rows, max_iters, dt, shuffle):
+    """Rows (rho, seed width) of the triple (0.5, 0.2, gamma) flowed as
+    one batch, in shuffled order, give bit for bit what each gives run
+    alone, and a second run of the batch gives the same results."""
     opts = gs.FlowOptions(max_iters=max_iters, dt=dt)
-    coeffs = [CoeffTriple(0.5, 0.2, gamma) for _, gamma, _ in rows]
-    rhos = [rho for rho, _, _ in rows]
-    seeds = [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for _, _, w in rows]
+    coeffs = CoeffTriple(0.5, 0.2, gamma)
+    rhos = [rho for rho, _ in rows]
+    seeds = [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for _, w in rows]
     alone = [
-        _row_key(gs._flow_rows(params, grid, [c], [rho], [seed], opts)[0])
-        for c, rho, seed in zip(coeffs, rhos, seeds)
+        _row_key(gs._flow_rows(params, grid, coeffs, [rho], [seed], opts)[0])
+        for rho, seed in zip(rhos, seeds)
     ]
     order = list(range(len(rows)))
     shuffle.shuffle(order)
 
     def batch():
         res = gs._flow_rows(
-            params, grid, [coeffs[i] for i in order], [rhos[i] for i in order],
-            [seeds[i] for i in order], opts,
+            params, grid, coeffs, [rhos[i] for i in order], [seeds[i] for i in order], opts
         )
         return [_row_key(r) for r in res]
 
@@ -137,50 +134,53 @@ def _assert_rows_match_alone(params, grid, rows, max_iters, dt, shuffle):
 
 @settings(max_examples=25, deadline=None)
 @given(
+    gamma=_GAMMA,
     rows=_ROWS,
     max_iters=st.integers(1, 25),
     dt=st.sampled_from([0.05, 0.5]),
     shuffle=st.randoms(use_true_random=False),
 )
-def test_flow_rows_match_each_row_run_alone(params, rows, max_iters, dt, shuffle):
+def test_flow_rows_match_each_row_run_alone(params, gamma, rows, max_iters, dt, shuffle):
     """Every row of a batch, in any order and beside any other rows (mixed
-    rho, gamma and seed width), gives bit for bit the result of that row
-    run alone; a second run of the batch gives the same results."""
-    _assert_rows_match_alone(params, _ROW_GRID, rows, max_iters, dt, shuffle)
+    rho and seed width), gives bit for bit the result of that row run
+    alone; a second run of the batch gives the same results."""
+    _assert_rows_match_alone(params, _ROW_GRID, gamma, rows, max_iters, dt, shuffle)
 
 
 @settings(max_examples=10, deadline=None)
 @given(
+    gamma=_GAMMA,
     rows=_ROWS,
     max_iters=st.integers(1, 25),
     dt=st.sampled_from([0.05, 0.5]),
     shuffle=st.randoms(use_true_random=False),
 )
-def test_flow_rows_match_each_row_run_alone_2d(rows, max_iters, dt, shuffle):
+def test_flow_rows_match_each_row_run_alone_2d(gamma, rows, max_iters, dt, shuffle):
     """The same in d=2 on a 16x16 grid, where each row's real FFT runs
     over two grid axes of the batch."""
     params = ModelParams(d=2, q=2.0, p=2.5)
-    _assert_rows_match_alone(params, Grid(d=2, n=16, L=16.0), rows, max_iters, dt, shuffle)
+    _assert_rows_match_alone(params, Grid(d=2, n=16, L=16.0), gamma, rows, max_iters, dt, shuffle)
 
 
-def _assert_rows_join_mid_flight(params, grid, rows, queued_at, dropped_at, max_iters, dt):
-    """Rows (rho, gamma, seed width) flowed through one _Flow, row i
-    queued at the queued_at[i]-th flow iteration, give bit for bit what
-    each gives run alone.  A row queued while the batch runs joins it at
-    its next 10-iteration boundary, as other rows leave; one queued when
-    the batch has emptied starts it again.  Row i is dropped at the first
-    flow iteration or yield from the dropped_at[i]-th flow iteration on
-    (never if None), unless it was yielded before: queued, running, or
-    stopped and not yet yielded.  A dropped row is never yielded."""
+def _assert_rows_join_mid_flight(params, grid, gamma, rows, queued_at, dropped_at, max_iters, dt):
+    """Rows (rho, seed width) flowed through one _Flow of the triple
+    (0.5, 0.2, gamma), row i queued at the queued_at[i]-th flow
+    iteration, give bit for bit what each gives run alone.  A row queued
+    while the batch runs joins it at its next 10-iteration boundary, as
+    other rows leave; one queued when the batch has emptied starts it
+    again.  Row i is dropped at the first flow iteration or yield from
+    the dropped_at[i]-th flow iteration on (never if None), unless it was
+    yielded before: queued, running, or stopped and not yet yielded.  A
+    dropped row is never yielded."""
     opts = gs.FlowOptions(max_iters=max_iters, dt=dt)
-    coeffs = [CoeffTriple(0.5, 0.2, gamma) for _, gamma, _ in rows]
-    rhos = [rho for rho, _, _ in rows]
-    seeds = [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for _, _, w in rows]
+    coeffs = CoeffTriple(0.5, 0.2, gamma)
+    rhos = [rho for rho, _ in rows]
+    seeds = [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for _, w in rows]
     alone = [
-        _row_key(gs._flow_rows(params, grid, [c], [rho], [seed], opts)[0])
-        for c, rho, seed in zip(coeffs, rhos, seeds)
+        _row_key(gs._flow_rows(params, grid, coeffs, [rho], [seed], opts)[0])
+        for rho, seed in zip(rhos, seeds)
     ]
-    flow = gs._Flow(params, grid, opts)
+    flow = gs._Flow(params, grid, coeffs, opts)
     results = {}
     dropped = set()
     later = sorted(range(len(rows)), key=queued_at.__getitem__)
@@ -188,7 +188,7 @@ def _assert_rows_join_mid_flight(params, grid, rows, queued_at, dropped_at, max_
     iterations = 0
 
     def admit(i):
-        flow.admit(i, coeffs[i], rhos[i], seeds[i])
+        flow.admit(i, rhos[i], seeds[i])
 
     def drop_due():
         due = {
@@ -225,43 +225,47 @@ def _drop_times(data, queued_at):
 
 @settings(max_examples=25, deadline=None)
 @given(
+    gamma=_GAMMA,
     rows=_ROWS,
     max_iters=st.integers(1, 45),
     dt=st.sampled_from([0.05, 0.5]),
     data=st.data(),
 )
-def test_rows_joining_mid_flight_match_each_row_run_alone(params, rows, max_iters, dt, data):
+def test_rows_joining_mid_flight_match_each_row_run_alone(params, gamma, rows, max_iters, dt, data):
     """Rows that join a running batch at 10-iteration boundaries, while
     other rows leave it or are dropped from it, give bit for bit the
     result of that row run alone: each keeps its own iteration count,
     checkpoints and budget."""
     queued_at = [data.draw(st.integers(0, 50)) for _ in rows]
     dropped_at = _drop_times(data, queued_at)
-    _assert_rows_join_mid_flight(params, _ROW_GRID, rows, queued_at, dropped_at, max_iters, dt)
+    _assert_rows_join_mid_flight(params, _ROW_GRID, gamma, rows, queued_at, dropped_at, max_iters, dt)
 
 
 @settings(max_examples=10, deadline=None)
 @given(
+    gamma=_GAMMA,
     rows=_ROWS,
     max_iters=st.integers(1, 45),
     dt=st.sampled_from([0.05, 0.5]),
     data=st.data(),
 )
-def test_rows_joining_mid_flight_match_each_row_run_alone_2d(rows, max_iters, dt, data):
+def test_rows_joining_mid_flight_match_each_row_run_alone_2d(gamma, rows, max_iters, dt, data):
     """The same in d=2 on a 16x16 grid."""
     params = ModelParams(d=2, q=2.0, p=2.5)
     queued_at = [data.draw(st.integers(0, 50)) for _ in rows]
     dropped_at = _drop_times(data, queued_at)
-    _assert_rows_join_mid_flight(params, Grid(d=2, n=16, L=16.0), rows, queued_at, dropped_at, max_iters, dt)
+    _assert_rows_join_mid_flight(
+        params, Grid(d=2, n=16, L=16.0), gamma, rows, queued_at, dropped_at, max_iters, dt
+    )
 
 
 def test_drop_removes_a_stopped_row_not_yet_yielded(params):
     """Rows that stop in the same iteration are yielded one at a time; one
     dropped while the caller holds another's result is never yielded."""
-    flow = gs._Flow(params, _ROW_GRID, gs.FlowOptions(max_iters=5))
+    flow = gs._Flow(params, _ROW_GRID, CoeffTriple(0.5, 0.2, 0.2), gs.FlowOptions(max_iters=5))
     seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=1.0)
     for key in "abc":
-        flow.admit(key, CoeffTriple(0.5, 0.2, 0.2), 1.0, seed)
+        flow.admit(key, 1.0, seed)
     yielded = []
     for key, result in flow.run():
         yielded.append((key, result.iterations))
@@ -348,8 +352,13 @@ def test_flow_step_grows_only_after_clean_windows_and_within_the_kick_limit(para
     grows."""
     kicks = []
     kick = backend.flow_kick
-    step_arrays = gs._step_arrays
-    dts = {}  # key -> the row's dt at its last _step_arrays call
+    decay = gs._decay
+    coeffs = gs.triple_energy(params)
+    flow = gs._Flow(params, gs.default_grid(1), coeffs, gs.FlowOptions(dt=0.5))
+    for key, seed in enumerate(gs._seeds(None)):
+        flow.admit(key, 2.6, seed)
+    # key -> the row's dt at its last _decay call, its starting dt before.
+    dts = {key: start["dt"] for key, (_, start) in flow.queue}
     halved = {}  # key -> the flow iteration of its last halving
     events = []
 
@@ -357,29 +366,33 @@ def test_flow_step_grows_only_after_clean_windows_and_within_the_kick_limit(para
         kicks.append(1)
         return kick(*args)
 
-    def checked(s, rows, p, k_sq):
+    def checked(dt, c, k_sq):
+        """The rows this call takes the decay of are the rows whose dt
+        changed since their last call; the first call is the rows joining."""
         it = len(kicks)
-        for key, dt, dt_start, beta, gamma, vals in zip(
-            s.key[rows], s.dt[rows], s.dt_start[rows], s.beta[rows], s.gamma[rows], s.vals[rows]
-        ):
-            if key not in dts:
-                events.append("start")
-            elif dt == 0.5 * dts[key]:
+        s = flow.rows
+        if s is None:
+            assert sorted(dt) == sorted(dts.values())
+            return decay(dt, c, k_sq)
+        changed = np.flatnonzero([dt_j != dts[key] for key, dt_j in zip(s.key, s.dt)])
+        assert sorted(s.dt[changed]) == sorted(dt)
+        for j in changed:
+            key, dt_j = s.key[j], s.dt[j]
+            if dt_j == 0.5 * dts[key]:
                 events.append("halve")
                 halved[key] = it
             else:
                 events.append("grow")
-                assert dt == 2.0 * dts[key]
+                assert dt_j == 2.0 * dts[key]
                 assert it % 10 == 0 and halved.get(key, -1) <= it - 10
-                amp = np.abs(vals).max()
-                assert dt <= max(dt_start, gs.KICK_TOL / gs._kick_scale(p, beta, gamma, amp))
-            dts[key] = dt
-        return step_arrays(s, rows, p, k_sq)
+                amp = np.abs(s.vals[j]).max()
+                assert dt_j <= max(s.dt_start[j], gs.KICK_TOL / gs._kick_scale(params, c, amp))
+            dts[key] = dt_j
+        return decay(dt, c, k_sq)
 
     monkeypatch.setattr(backend, "flow_kick", counted)
-    monkeypatch.setattr(gs, "_step_arrays", checked)
-    coeffs = gs.triple_energy(params)
-    gs._flow_rows(params, gs.default_grid(1), [coeffs] * 3, [2.6] * 3, gs._seeds(None), gs.FlowOptions(dt=0.5))
+    monkeypatch.setattr(gs, "_decay", checked)
+    list(flow.run())
     assert {"halve", "grow"} <= set(events)
 
 
@@ -473,7 +486,7 @@ def test_speculative_successors_are_invisible_and_pay(params, monkeypatch):
     for k in (0, len(th.probes) - 1):
         pr = th.probes[k]
         n = len(draws[k])
-        alone = gs._flow_rows(params, gs.default_grid(1), [coeffs] * n, [pr.rho] * n, draws[k], gs.FlowOptions())
+        alone = gs._flow_rows(params, gs.default_grid(1), coeffs, [pr.rho] * n, draws[k], gs.FlowOptions())
         assert gs._verdict(pr.rho, alone).verdict == pr.verdict
         assert [_row_key(r) for r in alone] == [_row_key(r) for r in pr.results]
 
@@ -564,10 +577,10 @@ def test_bisection_drops_only_probes_off_its_path_and_caps_speculation(params, m
         def undecided():
             return sum(gs._decision(results) is None for _, results in flowing.values())
 
-        def admitted(self, key, coeffs, rho, seed):
+        def admitted(self, key, rho, seed):
             assert (key[0], rho) not in gone
             flowing.setdefault(key[0], (rho, [None] * len(gs.SEED_WIDTHS)))
-            admit(self, key, coeffs, rho, seed)
+            admit(self, key, rho, seed)
             most.append(undecided())
 
         def dropping(self, keys):
