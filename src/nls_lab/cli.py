@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, conformal, ground_state, spectral
 from .config import SCATTER_SNAPSHOT_TAUS, SUBCOMMANDS, ConfigError, parse_config
-from .evolution import EvolutionError, EvolveControls, EvolutionState, StrangStepper, evolve
+from .evolution import EvolutionError, EvolveControls, EvolutionState, StrangStepper, evolve, evolve_monitor
 from .functionals import ModelParams, energy_coeffs
 from .grid import AnalyticProfile, eval_profile, field_to_bytes
 from .ground_state import BracketingError, FlowOptions
@@ -176,21 +176,23 @@ def cmd_evolve(cfg, emit):
 
 def cmd_scatter(cfg, emit):
     state = _initial_state(cfg, "conformal")
-    # Unlike evolve, scatter records every 10th step and probes at
-    # SCATTER_SNAPSHOT_TAUS unless the config sets cadence or snapshot_taus.
+    # Unlike evolve, scatter defaults to a record every 10th step and
+    # probes at SCATTER_SNAPSHOT_TAUS, unless the config sets cadence or
+    # snapshot_taus; it writes no diagnostics, so its records keep only
+    # what the probe reads (evolve_monitor).
     kw = {"cadence": 10, "snapshot_clocks": SCATTER_SNAPSHOT_TAUS} | cfg.kwargs(**_CONTROLS)
     controls = EvolveControls(**kw)
-    traj = evolve(state, cfg.get("tau_max", max(controls.snapshot_clocks)), controls)
-    report = conformal.scattering_probe(traj)
+    run = evolve_monitor(state, cfg.get("tau_max", max(controls.snapshot_clocks)), controls)
+    report = conformal.scattering_probe(run)
     doc = {k: getattr(report, k) for k in ("finest_residual", "tol", "verdict")}
-    emit.json(".scatter.json", doc | {"taus": list(report.taus), "sound": traj.sound})
+    emit.json(".scatter.json", doc | {"taus": list(report.taus), "sound": run.sound})
     lines = ["," + ",".join(_fmt(t) for t in report.taus)]
     for i, t in enumerate(report.taus):
         lines.append(_fmt(t) + "," + ",".join(_fmt(r) for r in report.residuals[i]))
     emit.write(".residuals.csv", "\n".join(lines) + "\n")
     if report.psi_plus is not None:
         emit.write(".psi-plus.field", field_to_bytes(report.psi_plus))
-    return {"scatter": traj.sound}
+    return {"scatter": run.sound}
 
 
 def cmd_verify(cfg, emit):

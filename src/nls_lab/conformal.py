@@ -155,15 +155,17 @@ class ScatterReport:
     psi_plus: Field | None
 
 
-def scattering_probe(trajectory):
-    snaps = trajectory.snapshots()
+def scattering_probe(run):
+    """ScatterReport of run, an evolution.MonitorRun: its snapshots, the
+    mass of its first record and its soundness."""
+    snaps = run.snapshots
     if len(snaps) < 2:
         raise ValueError("scattering probe needs at least two snapshots")
     taus = np.array([t for t, _ in snaps])
     if not np.all(np.diff(taus) > 0):
         raise ValueError("snapshots must be at increasing tau")
 
-    tol = 1e-3 * np.sqrt(trajectory.records[0].mass)
+    tol = 1e-3 * np.sqrt(run.mass)
 
     back = [free_propagate(f, -t) for t, f in snaps]
     m = len(back)
@@ -180,7 +182,7 @@ def scattering_probe(trajectory):
     finest = float(to_finest[-1])
     decreasing = bool(np.all(np.diff(to_finest) <= 1e-12))
 
-    if not trajectory.sound:
+    if not run.sound:
         verdict = "inconclusive"
     elif decreasing and finest < tol:
         verdict = "scattering_consistent"

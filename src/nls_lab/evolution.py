@@ -11,10 +11,17 @@ coefficients.  Both substeps preserve |values| pointwise or spectrally,
 so the mass is conserved to roundoff.
 
 The loop carries the state's spectrum (its fftn) from step to step: a
-step costs 2 FFTs (into physical space for the nonlinear phase and
-back), and a diagnostic record 1 more (the physical state it reads).
-The kinetic term and the momentum of a record come from the spectrum
-by Parseval, with no transform.
+step takes 2 transforms (into physical space for the nonlinear phase
+and back), and a diagnostic record 1 more (the physical state it
+reads).  A step right after a record takes its inverse transform in one
+(2, ...) batch with the record's, so the pair costs one call.  The
+kinetic term and the momentum of a record come from the spectrum by
+Parseval, with no transform.
+
+The Strang loop is written once (_strang_records) and read twice:
+evolve builds full diagnostic records, and evolve_monitor keeps only
+what the scattering probe reads (each record's truncation monitor, the
+first record's mass and the snapshots).
 """
 
 import csv
@@ -41,6 +48,8 @@ __all__ = [
     "nonlinear_phase_weights",
     "StrangStepper",
     "evolve",
+    "MonitorRun",
+    "evolve_monitor",
     "EnvelopeReport",
     "decay_envelopes",
     "aqp_condition_rhs",
@@ -49,9 +58,10 @@ __all__ = [
 
 
 class EvolutionError(RuntimeError):
-    """Step failure; carries the trajectory up to the last healthy record."""
+    """Step failure; from evolve, carries the trajectory up to the last
+    healthy record (None from evolve_monitor)."""
 
-    def __init__(self, message, trajectory):
+    def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
 
@@ -99,11 +109,13 @@ class StrangStepper:
 
     The state is a spectrum, fftn of the field, advanced in place: the
     half linear steps multiply it, and the nonlinear phase acts on its
-    inverse transform, so a step costs 2 FFTs.  Every step applies the
-    nonlinear phase; conformal.free_propagate is the free group.  The
-    half linear multiplier is built once per dt.  A step of -dt from
-    clock + dt undoes a step of dt from clock: the half linear phase and
-    the integrated weights both change sign.
+    inverse transform, so a step takes 2 transforms, or 1 when
+    record_values has already taken its inverse one.  The inverse lands
+    in a buffer the stepper owns, the forward one in hat.  Every step applies the nonlinear phase;
+    conformal.free_propagate is the free group.  The half linear
+    multiplier is built once per dt.  A step of -dt from clock + dt
+    undoes a step of dt from clock: the half linear phase and the
+    integrated weights both change sign.
     """
 
     def __init__(self, grid, params, model):
@@ -115,6 +127,9 @@ class StrangStepper:
         self._k_sq_half = grid.wavenumbers[: grid.n // 2 + 1] ** 2
         self._dt = None
         self._half = None
+        # Row 0: a record's values; row 1: the values a step works on.
+        self._buf = np.empty((2, *grid.shape), dtype=np.complex128)
+        self._axes = tuple(range(1, grid.d + 1))
 
     def _half_linear(self, dt):
         """exp(-i |k|^2 dt / 2).  The symbol is even in k and separable
@@ -135,16 +150,32 @@ class StrangStepper:
             self._dt = dt
         return self._half
 
-    def step(self, hat, clock, dt):
+    def step(self, hat, clock, dt, values=None):
         """Advance the spectrum hat in place from clock to clock + dt
-        (backward when dt < 0)."""
+        (backward when dt < 0).  values, if given, is the second array
+        record_values(hat, dt) returned, ifftn of hat times the half
+        linear step, and the step starts from it."""
         half = self._half_linear(dt)
-        hat *= half
         wq, wp = nonlinear_phase_weights(self.model, clock, dt, self.params)
-        values = np.fft.ifftn(hat)
+        if values is None:
+            hat *= half
+            values = np.fft.ifftn(hat, out=self._buf[1])
         backend.nonlinear_phase(values.reshape(-1), self._qm1, self._pm1, wq, wp)
-        hat[...] = np.fft.fftn(values)
+        np.fft.fftn(values, out=hat)
         hat *= half
+
+    def record_values(self, hat, next_dt=None):
+        """(ifftn(hat), None); with next_dt, (ifftn(hat), ifftn(hat *
+        half)) for the half linear step of next_dt, taken as one batched
+        transform, the second for step(hat, clock, next_dt, values).  Both
+        are the stepper's buffers, overwritten by its next call."""
+        if next_dt is None:
+            return np.fft.ifftn(hat, out=self._buf[0]), None
+        buf = self._buf
+        buf[0] = hat
+        np.multiply(hat, self._half_linear(next_dt), out=buf[1])
+        np.fft.ifftn(buf, axes=self._axes, out=buf)
+        return buf[0], buf[1]
 
 
 @dataclass
@@ -260,6 +291,64 @@ def _record(grid, params, clock, hat, values, A, snapshot):
     )
 
 
+def _strang_records(state, end_clock, controls):
+    """The Strang loop of evolve and evolve_monitor: yields (clock, hat,
+    values, snapshot) at each record, the start, every cadence-th step
+    and each stop (a snapshot clock or end_clock).  hat is the carried
+    spectrum and values its ifftn (at the start, the input field's own
+    values); both are overwritten when the loop resumes, so a reader
+    copies what it keeps.  snapshot tells whether the clock is one of
+    controls.snapshot_clocks.  A step that follows a record starts from
+    the second half of the record's paired inverse transform
+    (StrangStepper.record_values).  A non-finite spectrum raises
+    EvolutionError, with no trajectory.
+    """
+    if end_clock <= state.clock:
+        raise ValueError("end_clock must exceed the current clock")
+    if state.model == "conformal" and end_clock >= 1:
+        raise ValueError("conformal end_clock must stay below 1")
+
+    stops = sorted(set(float(c) for c in controls.snapshot_clocks if state.clock < c <= end_clock))
+    if not stops or stops[-1] < end_clock:
+        stops.append(end_clock)
+    snapshot_set = set(float(c) for c in controls.snapshot_clocks)
+
+    stepper = StrangStepper(state.field.grid, state.params, state.model)
+    hat = np.fft.fftn(state.field.values)
+    clock = state.clock
+    yield clock, hat, state.field.values, clock in snapshot_set
+
+    # (clock, snapshot) of the record after the last step, yielded once
+    # the next step's dt is known, so that their inverse transforms pair.
+    pending = None
+    steps = 0
+    for stop in stops:
+        while clock < stop - 1e-13:
+            dt = controls.dt_base
+            if state.model == "conformal":
+                dt = min(dt, controls.c_adapt * (1.0 - clock))
+            dt = min(dt, stop - clock)
+            values = None
+            if pending:
+                record, values = stepper.record_values(hat, dt)
+                yield pending[0], hat, record, pending[1]
+                pending = None
+            stepper.step(hat, clock, dt, values)
+            clock += dt
+            steps += 1
+            # A non-finite value anywhere in the field spreads over its
+            # whole transform, so checking the spectrum checks the field.
+            if not np.all(np.isfinite(hat.view(np.float64))):
+                raise EvolutionError(f"non-finite field at clock {clock}")
+            at_stop = clock >= stop - 1e-13
+            if steps % controls.cadence == 0 or at_stop:
+                if at_stop:
+                    clock = stop
+                pending = clock, at_stop and stop in snapshot_set
+    if pending:
+        yield pending[0], hat, stepper.record_values(hat)[0], pending[1]
+
+
 def evolve(state, end_clock, controls):
     """Repeated Strang steps with cadence diagnostics.
 
@@ -275,49 +364,54 @@ def evolve(state, end_clock, controls):
     records so far.  E_A and R_A are conformal diagnostics: a physical
     state with controls.A set raises ValueError.
     """
-    if end_clock <= state.clock:
-        raise ValueError("end_clock must exceed the current clock")
-    if state.model == "conformal" and end_clock >= 1:
-        raise ValueError("conformal end_clock must stay below 1")
     if state.model == "physical" and controls.A is not None:
         raise ValueError("the decay exponent A is read by a conformal evolve only")
-
-    stops = sorted(set(float(c) for c in controls.snapshot_clocks if state.clock < c <= end_clock))
-    if not stops or stops[-1] < end_clock:
-        stops.append(end_clock)
-    snapshot_set = set(float(c) for c in controls.snapshot_clocks)
-
-    grid, params, model, A = state.field.grid, state.params, state.model, controls.A
-    stepper = StrangStepper(grid, params, model)
-    hat = np.fft.fftn(state.field.values)
-    clock = state.clock
-    traj = Trajectory(model=model, params=params, A=A)
-    traj.records.append(
-        _record(grid, params, clock, hat, state.field.values, A, clock in snapshot_set)
-    )
-
-    steps = 0
-    for stop in stops:
-        while clock < stop - 1e-13:
-            dt = controls.dt_base
-            if model == "conformal":
-                dt = min(dt, controls.c_adapt * (1.0 - clock))
-            dt = min(dt, stop - clock)
-            stepper.step(hat, clock, dt)
-            clock += dt
-            steps += 1
-            # A non-finite value anywhere in the field spreads over its
-            # whole transform, so checking the spectrum checks the field.
-            if not np.all(np.isfinite(hat.view(np.float64))):
-                raise EvolutionError(f"non-finite field at clock {clock}", trajectory=traj)
-            at_stop = clock >= stop - 1e-13
-            if steps % controls.cadence == 0 or at_stop:
-                if at_stop:
-                    clock = stop
-                snapshot = at_stop and stop in snapshot_set
-                values = np.fft.ifftn(hat)
-                traj.records.append(_record(grid, params, clock, hat, values, A, snapshot))
+    grid, params, A = state.field.grid, state.params, controls.A
+    traj = Trajectory(model=state.model, params=params, A=A)
+    try:
+        for clock, hat, values, snapshot in _strang_records(state, end_clock, controls):
+            traj.records.append(_record(grid, params, clock, hat, values, A, snapshot))
+    except EvolutionError as exc:
+        exc.trajectory = traj
+        raise
     return traj
+
+
+@dataclass
+class MonitorRun:
+    """What the scattering probe reads of a run: the mass of its first
+    record, the index of the first record whose truncation monitor
+    tripped (None while all are sound, as Trajectory.unsound_from), and
+    the (clock, Field) snapshots."""
+
+    mass: float
+    unsound_from: int | None
+    snapshots: list
+
+    @property
+    def sound(self):
+        return self.unsound_from is None
+
+
+def evolve_monitor(state, end_clock, controls):
+    """evolve's steps and records, of which it keeps only the truncation
+    monitor of each, the mass of the first and the snapshots: the same
+    values, bit for bit, as evolve's trajectory, without the energy
+    breakdown.  controls.A is not read.  A non-finite spectrum raises
+    EvolutionError."""
+    grid = state.field.grid
+    mass, unsound_from, snapshots = None, None, []
+    for i, (clock, _, values, snapshot) in enumerate(_strang_records(state, end_clock, controls)):
+        if snapshot:
+            snapshots.append((clock, Field(grid, values.copy())))
+        if unsound_from is None:
+            a2 = values.real**2 + values.imag**2
+            if mass is None:
+                # The reduction of _record's power sums, for the same bits.
+                mass = float(a2.ravel().sum(-1)) * grid.cell_volume
+            if not spectral.outside_fraction(a2, grid) < spectral.RESOLVED_FRACTION:
+                unsound_from = i
+    return MonitorRun(mass=mass, unsound_from=unsound_from, snapshots=snapshots)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from nls_lab.evolution import (
     EvolveControls,
     decay_envelopes,
     evolve,
+    evolve_monitor,
 )
 from nls_lab.functionals import (
     CoeffTriple,
@@ -172,7 +173,7 @@ def test_criterion_06_scattering_probe(sparams, params, grid512, ground_datum):
     def run(phi0):
         state = EvolutionState(phi0, 0.0, "conformal", sparams)
         controls = EvolveControls(dt_base=1e-2, c_adapt=1e-2, cadence=10, snapshot_clocks=taus)
-        return conformal.scattering_probe(evolve(state, 0.999, controls))
+        return conformal.scattering_probe(evolve_monitor(state, 0.999, controls))
 
     small = run(_gaussian(grid512, rho=0.3))
     # A no-op nonlinear phase leaves each step the free group.

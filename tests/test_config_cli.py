@@ -169,13 +169,13 @@ def test_cli_scatter_run(tmp_path):
 
 def test_cli_scatter_evolves_to_tau_max(tmp_path, monkeypatch):
     ends = []
-    evolve = cli.evolve
+    evolve_monitor = cli.evolve_monitor
 
-    def recording_evolve(state, end_clock, controls):
+    def recording_evolve_monitor(state, end_clock, controls):
         ends.append(end_clock)
-        return evolve(state, end_clock, controls)
+        return evolve_monitor(state, end_clock, controls)
 
-    monkeypatch.setattr(cli, "evolve", recording_evolve)
+    monkeypatch.setattr(cli, "evolve_monitor", recording_evolve_monitor)
     cfg = _write(tmp_path, SCATTER_CFG + "snapshot_taus = 0.3, 0.4, 0.5\ntau_max = 0.6\n")
     assert cli.main(["scatter", "--config", cfg, "--out", str(tmp_path / "s")]) == cli.EXIT_OK
     cfg = _write(tmp_path, SCATTER_CFG + "snapshot_taus = 0.3, 0.4, 0.5\n")
@@ -240,6 +240,16 @@ def test_cli_evolve_blowup_exit_code(tmp_path, capsys):
     out = str(tmp_path / "b")
     with np.errstate(all="ignore"):
         rc = cli.main(["evolve", "--config", cfg, "--out", out])
+    assert rc == cli.EXIT_EVOLUTION
+    assert "non-finite field" in capsys.readouterr().err
+    assert not (tmp_path / "b.manifest.json").exists()
+
+
+def test_cli_scatter_blowup_exit_code(tmp_path, capsys):
+    cfg = _write(tmp_path, SCATTER_CFG.replace("rho = 0.3", "rho = 1e90"))
+    out = str(tmp_path / "b")
+    with np.errstate(all="ignore"):
+        rc = cli.main(["scatter", "--config", cfg, "--out", out])
     assert rc == cli.EXIT_EVOLUTION
     assert "non-finite field" in capsys.readouterr().err
     assert not (tmp_path / "b.manifest.json").exists()

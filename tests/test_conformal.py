@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nls_lab import backend, conformal, spectral
-from nls_lab.evolution import EvolutionState, EvolveControls, evolve
+from nls_lab.evolution import EvolutionState, EvolveControls, evolve_monitor
 from nls_lab.grid import AnalyticProfile, eval_profile
 from oracles import free_gaussian
 
@@ -81,7 +81,7 @@ def test_free_propagate_group_property(psi0):
     assert np.max(np.abs(a.values - b.values)) < 1e-13
 
 
-def _small_mass_trajectory(grid, params, rho=0.3):
+def _small_mass_run(grid, params, rho=0.3):
     phi0 = spectral.normalize(
         eval_profile(grid, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0)), rho
     )
@@ -92,12 +92,12 @@ def _small_mass_trajectory(grid, params, rho=0.3):
         cadence=10,
         snapshot_clocks=(0.9, 0.95, 0.99, 0.995, 0.999),
     )
-    return evolve(state, 0.999, controls)
+    return evolve_monitor(state, 0.999, controls)
 
 
 def test_scattering_probe_small_mass(grid512, sparams):
-    traj = _small_mass_trajectory(grid512, sparams)
-    rep = conformal.scattering_probe(traj)
+    run = _small_mass_run(grid512, sparams)
+    rep = conformal.scattering_probe(run)
     assert rep.verdict == "scattering_consistent"
     assert rep.finest_residual < rep.tol
     assert rep.psi_plus is not None
@@ -108,8 +108,8 @@ def test_scattering_probe_small_mass(grid512, sparams):
 def test_scattering_probe_free_flow_is_exact(grid512, sparams):
     # A no-op nonlinear phase leaves each step the free group.
     with mock.patch.object(backend, "nonlinear_phase", lambda *args: None):
-        traj = _small_mass_trajectory(grid512, sparams)
-    rep = conformal.scattering_probe(traj)
+        run = _small_mass_run(grid512, sparams)
+    rep = conformal.scattering_probe(run)
     assert rep.verdict == "scattering_consistent"
     assert rep.residuals.max() < 1e-12
 
@@ -117,6 +117,6 @@ def test_scattering_probe_free_flow_is_exact(grid512, sparams):
 def test_scattering_probe_needs_snapshots(grid512, sparams):
     phi0 = eval_profile(grid512, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0))
     state = EvolutionState(phi0, 0.0, "conformal", sparams)
-    traj = evolve(state, 0.5, EvolveControls(dt_base=1e-2, cadence=10))
+    run = evolve_monitor(state, 0.5, EvolveControls(dt_base=1e-2, cadence=10))
     with pytest.raises(ValueError):
-        conformal.scattering_probe(traj)
+        conformal.scattering_probe(run)

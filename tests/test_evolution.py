@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from nls_lab.evolution import (
     aqp_condition_rhs,
     decay_envelopes,
     evolve,
+    evolve_monitor,
     nonlinear_phase_weights,
 )
 from nls_lab.functionals import breakdown
@@ -138,14 +140,16 @@ def test_record_cadence_does_not_change_the_trajectory(psi0, params):
 
 
 def test_fft_budget(psi0, params, monkeypatch):
-    # 1 transform of the initial state, 2 a step, 1 a record after it.
-    counts = {"fft": 0, "step": 0}
+    # 1 transform of the initial state, 2 a step, 1 a record after it,
+    # counted as transforms computed: a batched call computes one per row.
+    counts = {"fft": 0, "calls": 0, "step": 0}
     for name in ("fftn", "ifftn"):
         transform = getattr(np.fft, name)
 
-        def counted(*args, _transform=transform, **kwargs):
-            counts["fft"] += 1
-            return _transform(*args, **kwargs)
+        def counted(a, *args, _transform=transform, **kwargs):
+            counts["fft"] += np.size(a) // psi0.grid.size
+            counts["calls"] += 1
+            return _transform(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     step = StrangStepper.step
@@ -157,11 +161,14 @@ def test_fft_budget(psi0, params, monkeypatch):
     monkeypatch.setattr(StrangStepper, "step", counted_step)
     st0 = EvolutionState(psi0, 0.0, "physical", params)
     for cadence, records in ((1, 21), (7, 4)):
-        counts.update(fft=0, step=0)
+        counts.update(fft=0, calls=0, step=0)
         traj = evolve(st0, 0.2, EvolveControls(dt_base=1e-2, cadence=cadence))
         assert counts["step"] == 20
         assert len(traj.records) == records
         assert counts["fft"] == 2 * counts["step"] + (records - 1) + 1
+        # Each record but the first (the input's own values) and the last
+        # (no step follows) shares one call with the next step's inverse.
+        assert counts["calls"] == counts["fft"] - (records - 2)
 
 
 def test_blowup_raises_with_the_records_before_it(params):
@@ -174,6 +181,8 @@ def test_blowup_raises_with_the_records_before_it(params):
         evolve(st0, 1.0, EvolveControls(dt_base=1e-2, cadence=1))
     assert "non-finite field at clock 0.01" in str(exc.value)
     assert [r.clock for r in exc.value.trajectory.records] == [0.0]
+    with np.errstate(all="ignore"), pytest.raises(EvolutionError, match="non-finite field at clock 0.01"):
+        evolve_monitor(st0, 1.0, EvolveControls(dt_base=1e-2, cadence=1))
 
 
 def test_strang_is_second_order(psi0, params):
@@ -220,6 +229,36 @@ def test_truncation_monitor_flags_spreading(psi0, params):
     assert not traj.sound
     assert traj.unsound_from is not None
     assert all(r.sound for r in traj.records[: traj.unsound_from])
+
+
+@pytest.mark.parametrize("spreading", [False, True])
+def test_monitor_reads_what_evolve_records(psi0, params, spreading):
+    """evolve_monitor runs evolve's loop and keeps of its records the
+    soundness, the first mass and the snapshots, bit for bit, without
+    the energy breakdown's power sums or Parseval sums."""
+    if spreading:
+        # test_truncation_monitor_flags_spreading's free run, with snapshots.
+        st0 = EvolutionState(psi0, 0.0, "physical", params)
+        end, ctl = 60.0, EvolveControls(dt_base=5e-2, cadence=50, snapshot_clocks=(0.0, 20.0, 60.0))
+        phase = mock.patch.object(backend, "nonlinear_phase", lambda *args: None)
+    else:
+        st0 = EvolutionState(psi0, 0.0, "conformal", params)
+        end = 0.9
+        ctl = EvolveControls(dt_base=1e-2, c_adapt=0.02, cadence=3, snapshot_clocks=(0.3, 0.6, 0.9))
+        phase = contextlib.nullcontext()
+    with phase:
+        traj = evolve(st0, end, ctl)
+        with mock.patch.object(backend, "abs2_power_sums", side_effect=backend.abs2_power_sums) as sums, \
+                mock.patch.object(spectral, "parseval_sums", side_effect=spectral.parseval_sums) as parseval:
+            run = evolve_monitor(st0, end, ctl)
+    assert sums.call_count == 0 and parseval.call_count == 0
+    assert run.sound == traj.sound and run.sound is not spreading
+    assert run.unsound_from == traj.unsound_from
+    assert run.mass == traj.records[0].mass
+    want = traj.snapshots()
+    assert [c for c, _ in run.snapshots] == [c for c, _ in want] and len(want) == 3
+    for (_, got), (_, f) in zip(run.snapshots, want, strict=True):
+        assert np.array_equal(got.values, f.values)
 
 
 def test_csv_layout(psi0, params):
