@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import backend, spectral
-from .functionals import CoeffTriple, breakdown, energy_coeffs
+from .functionals import CoeffTriple, energy_coeffs
 from .grid import AnalyticProfile, Field, Grid, eval_profile
 
 __all__ = [
@@ -55,7 +55,7 @@ STALL_FACTOR = 0.999
 # The largest kick dt * _kick_scale a flow's step may grow to (FlowOptions).
 KICK_TOL = 0.1
 # A flow's negativity tolerance tol_neg at mass rho^2, as .threshold.json
-# records it; _start_row evaluates this very expression.
+# records it; _Flow._start_row evaluates this very expression.
 TOL_NEG_RULE = "1e-6 * rho**2"
 _TOL_NEG = compile(TOL_NEG_RULE, "TOL_NEG_RULE", "eval")
 
@@ -97,15 +97,18 @@ class FlowOptions:
     step and stopping tests.
 
     polish=True continues past certified negativity toward the actual
-    minimizer with a Sobolev-preconditioned projected gradient (_polish),
-    whose stopping rule is relative: ||E'(u) - mu u||_2 <= residual_tol
+    minimizer with a Sobolev-preconditioned projected gradient
+    (_Flow._polish), which works on real rows and half-spectra and takes
+    its energies from the flow's formula (_Flow._energy), and whose
+    stopping rule is relative: ||E'(u) - mu u||_2 <= residual_tol
     * |mu| rho, or a line search whose predicted decrease has fallen
     below the rounding floor of the energy, whichever comes first; the
     iterations of both phases count against max_iters.  Without a grid, a
     polished minimization runs on default_grid(params.d) scaled to the
-    width of its seed's dilation minimizer (_dilation_fit), so the box
-    follows the minimizer's scale; the result's sound flag reports a
-    minimizer that box still does not resolve.
+    width of its Gaussian seed's dilation minimizer, from the closed-form
+    integrals of a Gaussian (_dilation_fit), so the box follows the
+    minimizer's scale; the result's sound flag reports a minimizer that
+    box still does not resolve.
     """
 
     max_iters: int = 3000
@@ -165,16 +168,18 @@ def _rfft(v, grid, inverse=False):
 
 
 def _half_spectrum(grid):
-    """|k|^2 on the rfftn half-spectrum of grid, flattened, and the
-    Parseval weight of each of its modes: 2 for modes 1..n/2-1 of the
-    last axis, which stand for themselves and their conjugates, and 1 for
-    its zero and Nyquist modes.  So h^d/N sum(weight |hat|^2) is the L2
-    norm squared of the real field whose half-spectrum is hat."""
+    """|k|^2 on the rfftn half-spectrum of grid, flattened; the Parseval
+    weight of each of its modes: 2 for modes 1..n/2-1 of the last axis,
+    which stand for themselves and their conjugates, and 1 for its zero
+    and Nyquist modes, so h^d/N sum(weight |hat|^2) is the L2 norm squared
+    of the real field whose half-spectrum is hat; and the kinetic weight
+    h^d/N weight |k|^2, so sum(kinetic |hat|^2) is its ||grad u||_2^2."""
     n = grid.n
     k_sq = grid.k_sq[..., : n // 2 + 1].reshape(-1)
     weight = np.full(n // 2 + 1, 2.0)
     weight[[0, -1]] = 1.0
-    return k_sq, np.broadcast_to(weight, grid.shape[:-1] + weight.shape).reshape(-1)
+    weight = np.broadcast_to(weight, grid.shape[:-1] + weight.shape).reshape(-1)
+    return k_sq, weight, weight * k_sq * (grid.cell_volume / grid.size)
 
 
 def _powers(v, params):
@@ -185,57 +190,33 @@ def _powers(v, params):
     return a ** (params.q - 1.0), a ** (params.p - 1.0)
 
 
-def _energy_gradient(v, hat, pq, pp, k_sq, grid, params, coeffs):
-    """E'(u) = -2 alpha Lap u + (q+1) beta |u|^{q-1} u
-    - (p+1) gamma |u|^{p-1} u under the triple coeffs for every row of v,
-    a (rows, grid.size) real array, given its half-spectrum hat, its
-    powers pq, pp (_powers) and the half-spectrum's k_sq (_half_spectrum):
-    one inverse FFT and no pow."""
-    lin = _rfft(2.0 * coeffs.alpha * k_sq * hat, grid, inverse=True)
-    return lin + ((params.q + 1) * coeffs.beta * pq - (params.p + 1) * coeffs.gamma * pp) * v
-
-
-def _defect(v, g, vol):
-    """|| g - mu v ||_2 for every row of real v and g, with the projected
-    multiplier mu = <g, v> / ||v||_2^2: for g = E'(v), the constrained
-    stationarity defect."""
-    mu = (g * v).sum(-1) / (v * v).sum(-1)
-    r = g - mu[:, None] * v
-    return np.sqrt((r * r).sum(-1) * vol)
-
-
-def _residual(v, grid, params, coeffs):
-    """|| E'(u) - mu u ||_2 for every row of v (_defect), from scratch;
-    arguments as for _energy_gradient."""
-    pq, pp = _powers(v, params)
-    k_sq = _half_spectrum(grid)[0]
-    g = _energy_gradient(v, _rfft(v, grid), pq, pp, k_sq, grid, params, coeffs)
-    return _defect(v, g, grid.cell_volume)
-
-
 def _dilation_fit(params, coeffs, rho, seed):
     """Box and seed sized to the seed's own dilation curve.
 
     Under the mass-preserving dilation u -> s^{-d/2} u(x/s) the energy is
-    E(s) = alpha K / s^2 + beta nq s^{-d(q-1)/2} - gamma np s^{-d(p-1)/2},
-    closed-form in the raw integrals of one breakdown.  When E(s) has a
-    negative minimum at s* = 1/lam, the seed is dilated to it, as
-    lam^{d/2} u(lam x): amplitude times lam^{d/2}, width and center over
-    lam (a chirp needs no scaling, since the flow takes real seeds only).
-    The box then spans default_grid(d).L dilated seed widths at the
-    default n, as the default box spans a unit-width seed; otherwise
-    default_grid(params.d) and the seed are kept.
+    E(s) = alpha K / s^2 + beta nq s^{-d(q-1)/2} - gamma np s^{-d(p-1)/2}.
+    The seed must be a Gaussian (ValueError otherwise), whose raw
+    integrals at width w and mass rho^2 are closed-form: K = d rho^2 /
+    (2 w^2) and ||u||_r^r = rho^r (pi w^2)^{-dr/4} (2 pi w^2 / r)^{d/2}.
+    When E(s) has a negative minimum at s* = 1/lam, found on a grid of
+    1e-3 decades in lam, the seed is dilated to it, as lam^{d/2} u(lam x):
+    amplitude times lam^{d/2}, width and center over lam (a chirp needs no
+    scaling, since the flow takes real seeds only).  The box then spans
+    default_grid(d).L dilated seed widths at the default n, as the default
+    box spans a unit-width seed; otherwise default_grid(params.d) and the
+    seed are kept.
     """
+    if seed.kind != "gaussian":
+        raise ValueError(f"the dilation fit needs a Gaussian seed, got {seed.kind!r}")
     base = default_grid(params.d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        b = breakdown(spectral.normalize(eval_profile(base, seed), rho), params, coeffs)
-    d = base.d
+    d, w2 = base.d, seed.width**2
+    r = (params.q + 1, params.p + 1)
+    nq, npw = (rho**e * (np.pi * w2) ** (-d * e / 4) * (2 * np.pi * w2 / e) ** (d / 2) for e in r)
     lam = np.logspace(-6.0, 30.0, 36001)  # lam = 1/s, 1e-3 decade steps
     curve = (
-        coeffs.alpha * b.kinetic * lam**2
-        + coeffs.beta * b.nq * lam ** (d * (params.q - 1) / 2)
-        - coeffs.gamma * b.np * lam ** (d * (params.p - 1) / 2)
+        coeffs.alpha * (d * rho**2 / (2 * w2)) * lam**2
+        + coeffs.beta * nq * lam ** (d * (params.q - 1) / 2)
+        - coeffs.gamma * npw * lam ** (d * (params.p - 1) / 2)
     )
     i = int(np.argmin(curve))
     if curve[i] >= 0 or i in (0, lam.size - 1):
@@ -253,10 +234,10 @@ def minimize_on_sphere(params, coeffs, rho, opts=None, grid=None, seed=None):
 
     Runs the normalized gradient flow (one row of _flow_rows) until it
     certifies negative energy or lands on the zero-infimum signature
-    (FlowOptions).  With opts.polish a certified run goes on with _polish
-    to the actual minimizer; with grid=None it then runs on the box
-    _dilation_fit sizes to the seed, and on default_grid(params.d) in
-    every other case.
+    (FlowOptions).  With opts.polish a certified run goes on with
+    _Flow._polish to the actual minimizer; with grid=None it then runs on
+    the box _dilation_fit sizes to the seed, which must be a Gaussian, and
+    on default_grid(params.d) in every other case.
     """
     if opts is None:
         opts = FlowOptions()
@@ -322,22 +303,23 @@ class _Flow:
     the other rows, on when it joined or on which rows were dropped.
 
     The state is a (rows, grid.size) float64 array; a seed must sample
-    real (_start_row).  An iteration makes one rfftn and one irfftn over
-    the grid axes and two pow calls, and takes each per-row sum in one
-    np.vecdot pass.  The trial's kinetic term comes from its decayed
-    half-spectrum by Parseval (_half_spectrum), scaled by the
-    renormalization factor.  Its powers |v|^{q-1} and |v|^{p-1} give both
-    power sums (as pow . v^2), and an accepted row carries them into its
-    next kick; a rejected row keeps its own.  The every-10-iterations
-    residual (_checkpoint) reuses that spectrum and those powers: one
-    inverse FFT and no pow.
+    real (_start_row).  Every energy, a start row's, a flow trial's and a
+    polish trial's (_polish), is _energy of real rows: its kinetic term
+    by Parseval from a half-spectrum (_half_spectrum), its power sums from
+    the powers |v|^{q-1} and |v|^{p-1} (as pow . v^2).  A start row takes
+    one rfftn.  An iteration makes one rfftn and one irfftn over the grid
+    axes and two pow calls, and takes each per-row sum in one np.vecdot
+    pass; the trial's kinetic term comes from its decayed half-spectrum,
+    scaled by the renormalization factor.  An accepted row carries its
+    powers into its next kick; a rejected row keeps its own.  The
+    every-10-iterations residual (_checkpoint) reuses that spectrum and
+    those powers: one inverse FFT and no pow.  The only complex FFT is
+    _finish's spectral-tail check of a polished result.
     """
 
     def __init__(self, params, grid, coeffs, opts):
         self.params, self.grid, self.coeffs, self.opts = params, grid, coeffs, opts
-        self.k_sq, weight = _half_spectrum(grid)
-        # Kinetic energy of a half-spectrum by Parseval: h^d/N sum(w k^2 |hat|^2).
-        self.kinetic_weight = weight * self.k_sq * (grid.cell_volume / grid.size)
+        self.k_sq, self.weight, self.kinetic_weight = _half_spectrum(grid)
         # The mass outside the core box, as a weight on v^2.
         self.outside = (~grid.core_mask).reshape(-1) * grid.cell_volume
         self.queue = []
@@ -348,7 +330,7 @@ class _Flow:
     def admit(self, key, rho, seed):
         """Queue a row flowing seed at mass rho^2; run() yields key with
         its MinimizeResult when it stops."""
-        self.queue.append((key, _start_row(self.params, self.grid, self.coeffs, rho, seed, self.opts)))
+        self.queue.append((key, self._start_row(rho, seed)))
 
     def drop(self, keys):
         """Remove the rows under keys, queued, running, or stopped and not
@@ -373,8 +355,6 @@ class _Flow:
         starts = [start for _, start in self.queue]
         new = _Rows(**{name: np.array([r[name] for _, r in starts], dtype=float) for name in starts[0][1]})
         new.vals = np.stack([vals for vals, _ in starts])
-        # |v|^{q-1} and |v|^{p-1} of each row's accepted state, for its kick.
-        new.pq, new.pp = _powers(new.vals, self.params)
         rows = len(starts)
         new.key = np.fromiter((key for key, _ in self.queue), dtype=object, count=rows)
         self.queue = []
@@ -425,15 +405,12 @@ class _Flow:
             scale = s.rho / np.sqrt(m)
             trial *= scale[:, None]
 
-            # The trial's energy (breakdown(...).total, row by row), its
-            # kinetic term from the decayed spectrum, and its mass fraction
-            # outside the core box (its mass is rho^2).
+            # The trial's energy, its kinetic term from the decayed
+            # spectrum, and its mass fraction outside the core box (its
+            # mass is rho^2).
             pq, pp = _powers(trial, params)
             v2 = trial * trial
-            kinetic = np.vecdot(hat, self.kinetic_weight * hat).real * scale**2
-            sq = np.vecdot(pq, v2) * vol
-            sp = np.vecdot(pp, v2) * vol
-            energy = coeffs.alpha * kinetic + coeffs.beta * sq - coeffs.gamma * sp
+            energy = self._energy(hat, scale, v2, pq, pp)[0]
             truncation = np.vecdot(v2, self.outside) / s.rho**2
 
             # A step that raises the energy is undone and retried at half dt.
@@ -473,9 +450,86 @@ class _Flow:
                 done = s.take(stop & ~s.dropped)
                 self._keep(~stop)
                 self.stopped = [
-                    (key, _finish(params, coeffs, grid, opts, it - int(done.joined[j]), done, j))
+                    (key, self._finish(it - int(done.joined[j]), done, j))
                     for j, key in enumerate(done.key)
                 ]
+
+    def _start_row(self, rho, seed):
+        """The starting state of one row: the seed profile sampled on the
+        batch's grid at mass rho^2, as a flattened real array, and its
+        powers (_powers), energy (_energy, from one rfftn), step and the
+        scales of its stopping tests.  The flow keeps a real state real,
+        and steps real rows only: a seed whose samples are not real (a
+        chirp) raises ValueError."""
+        params, grid, coeffs = self.params, self.grid, self.coeffs
+        if rho <= 0:
+            raise ValueError(f"mass-sphere radius must be positive, got {rho}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field = spectral.normalize(eval_profile(grid, seed), rho)
+        if np.any(field.values.imag):
+            raise ValueError(f"the flow needs a real seed; {seed.kind} seed has complex samples")
+        vals = field.values.real.reshape(1, -1)
+        tol_neg = eval(_TOL_NEG, {"rho": rho})
+        width0 = float(_rms_width(vals * vals, grid)[0])
+        # The box caps the rms width near L/sqrt(12), so the 4x growth target
+        # saturates at a box fraction for wide seeds.
+        spread_target = min(SPREAD_FACTOR * width0, grid.L / 5)
+        # On the zero branch the flow diffuses toward the box-filling state,
+        # whose energy is a small positive kinetic scale, not below tol_neg;
+        # accept energies up to that scale as the zero-infimum signature.
+        tol_spread = max(10 * tol_neg, rho**2 / spread_target**2)
+        pq, pp = _powers(vals, params)
+        energy = float(self._energy(_rfft(vals, grid), 1.0, vals * vals, pq, pp)[0][0])
+        # Explicit-kick stability: dt * (nonlinear gradient scale) must stay
+        # below order one; deep wells (huge amplitudes) need tiny steps.
+        kick_scale = _kick_scale(params, coeffs, float(np.abs(vals).max()))
+        dt = min(self.opts.dt, 3.0 / kick_scale) if kick_scale > 0 else self.opts.dt
+        return vals[0], dict(
+            pq=pq[0],
+            pp=pp[0],
+            rho=rho,
+            dt=dt,
+            dt_start=dt,
+            energy=energy,
+            energy0=energy,
+            tol_neg=tol_neg,
+            tol_spread=tol_spread,
+            spread_target=spread_target,
+            width0=width0,
+        )
+
+    def _energy(self, hat, scale, v2, pq, pp):
+        """The energy alpha K + beta nq - gamma np of every row, and the sum
+        alpha K + beta nq + gamma np of its terms' magnitudes: K by
+        Parseval from hat, the rows' half-spectra, times scale^2 (each
+        row's renormalization factor, or 1), and nq, np from v2 = v^2 and
+        the rows' powers pq, pp (_powers).  The flow, its start rows and
+        the polish all take their energies here: one formula, from real
+        rows and half-spectra."""
+        coeffs, vol = self.coeffs, self.grid.cell_volume
+        k = coeffs.alpha * (np.vecdot(hat, self.kinetic_weight * hat).real * scale**2)
+        q = coeffs.beta * (np.vecdot(pq, v2) * vol)
+        p = coeffs.gamma * (np.vecdot(pp, v2) * vol)
+        return k + q - p, k + q + p
+
+    def _energy_gradient(self, v, hat, pq, pp):
+        """E'(u) = -2 alpha Lap u + (q+1) beta |u|^{q-1} u
+        - (p+1) gamma |u|^{p-1} u for every row of v, a (rows, grid.size)
+        real array, given its half-spectrum hat and its powers pq, pp
+        (_powers): one inverse FFT and no pow."""
+        params, coeffs = self.params, self.coeffs
+        lin = _rfft(2.0 * coeffs.alpha * self.k_sq * hat, self.grid, inverse=True)
+        return lin + ((params.q + 1) * coeffs.beta * pq - (params.p + 1) * coeffs.gamma * pp) * v
+
+    def _residual(self, v, hat, pq, pp):
+        """|| E'(u) - mu u ||_2 for every row of v, given its half-spectrum
+        hat and its powers pq, pp, with the projected multiplier mu =
+        <E'(u), u> / ||u||_2^2: the constrained stationarity defect."""
+        g = self._energy_gradient(v, hat, pq, pp)
+        mu = (g * v).sum(-1) / (v * v).sum(-1)
+        r = g - mu[:, None] * v
+        return np.sqrt((r * r).sum(-1) * self.grid.cell_volume)
 
     def _grow(self, s, rows):
         """At a checkpoint, double the dt of the given rows of s that
@@ -498,8 +552,7 @@ class _Flow:
         residual, the spreading signature or a stall."""
         grid = self.grid
         vals = s.vals[c]
-        g = _energy_gradient(vals, hat, s.pq[c], s.pp[c], self.k_sq, grid, self.params, self.coeffs)
-        s.residual[c] = _defect(vals, g, grid.cell_volume)
+        s.residual[c] = self._residual(vals, hat, s.pq[c], s.pp[c])
         energy = s.energy[c]
         spread = _spreading(s, c, energy, _rms_width(vals * vals, grid))
         recent_drop = s.history[c, np.maximum(s.count[c] - STALL_WINDOW, 0) % (STALL_WINDOW + 1)] - energy
@@ -510,6 +563,145 @@ class _Flow:
             & (recent_drop < (1 - STALL_FACTOR) * scale)
         )
         return (s.residual[c] < self.opts.residual_tol) | spread | stall
+
+    def _finish(self, it, rows, j):
+        """The MinimizeResult of row j of rows, stopped after it
+        iterations: _polish if asked, then the residual, classification and
+        soundness.  A row that stopped uncertified without the spreading
+        signature, also on the stall test before its budget ran out, is
+        'budget_exhausted'."""
+        grid, opts = self.grid, self.opts
+        rho = float(rows.rho[j])
+        vals = rows.vals[j]
+        energy = float(rows.energy[j])
+        residual = float(rows.residual[j])
+        certified = bool(rows.certified[j])
+        tol_neg = float(rows.tol_neg[j])
+        polished = certified and opts.polish
+        if polished:
+            vals, energy, polish_iters, stopped = self._polish(rho, vals, opts.max_iters - it)
+            it += polish_iters
+        final = Field(grid, vals.reshape(grid.shape))
+        if certified or not np.isfinite(residual):
+            v = vals[None]
+            residual = float(self._residual(v, _rfft(v, grid), *_powers(v, self.params))[0])
+        width = float(_rms_width((vals * vals)[None], grid)[0])
+        width0 = rows.width0[j]
+        width_ratio = float(width / width0) if width0 > 0 else np.inf
+
+        sound = True
+        if certified:
+            classification = "converged_negative"
+            # A compact minimizer must keep the boundary shell quiet; a
+            # spreading run populates it by construction, so the monitor
+            # gates only the negative classification.
+            sound = bool(rows.worst[j] < spectral.RESOLVED_FRACTION)
+            if polished:
+                # A sub-grid spike is a stationary point of the discrete
+                # problem too; only a quiet spectral edge tells it apart.
+                sound = (
+                    sound
+                    and stopped
+                    and spectral.truncation_fraction(final) < spectral.RESOLVED_FRACTION
+                    and spectral.spectral_tail_fraction(final) < spectral.RESOLVED_FRACTION
+                )
+        elif _spreading(rows, j, energy, width):
+            classification = "spread_to_zero_energy"
+        elif abs(energy) <= tol_neg and residual < opts.residual_tol:
+            classification = "spread_to_zero_energy"
+        else:
+            classification = "budget_exhausted"
+
+        return MinimizeResult(
+            field=final,
+            energy=energy,
+            residual=residual,
+            iterations=it,
+            classification=classification,
+            tol_neg=tol_neg,
+            initial_energy=float(rows.energy0[j]),
+            width_ratio=width_ratio,
+            sound=sound,
+        )
+
+    def _polish(self, rho, vals, budget):
+        """Sobolev-preconditioned projected gradient on the mass sphere
+        (Antoine, Levitt & Tang, J. Comput. Phys. 343, 2017).
+
+        The direction is d = P^{-1}(E'(u) - nu u) with P = |mu| + 2 alpha
+        |k|^2 and nu chosen so that <d, u> = 0; d vanishes exactly where
+        E'(u) = mu u.  The step u <- rho (u - tau d) / ||u - tau d||_2 takes
+        tau from a backtracking Armijo search seeded by a quadratic model, so
+        the energy falls monotonically and a certified negativity holds.
+
+        Stops when ||E'(u) - mu u||_2 <= residual_tol |mu| rho, or when
+        the decrease the line search predicts, tau <E'(u), d>, is below the
+        rounding floor of the energy (64 eps times the sum of the term
+        magnitudes, _energy), where no trial can be told apart from the
+        current state.  vals is a flattened real field at mass rho^2, and
+        the polish stays real: it works on real rows and half-spectra, as
+        the flow does, and takes every energy from _energy.  It carries the
+        state's half-spectrum and powers; a trial's spectrum is (u_hat - tau
+        d_hat) times the renormalization factor, so a trial takes no
+        transform, and an iteration makes one rfftn (of the gradient) and
+        two irfftn (the gradient and the direction).  Returns (values,
+        energy, iterations, stopped), stopped being False when the budget
+        ran out first.
+        """
+        params, grid, coeffs, k_sq = self.params, self.grid, self.coeffs, self.k_sq
+        vol = grid.cell_volume
+
+        def dot(a, b):
+            """<a, b> summed over all modes, from half-spectra a and b."""
+            return float((self.weight * (a.real * b.real + a.imag * b.imag)).sum())
+
+        def on_sphere(v, hat):
+            """(energy, (v, hat, pq, pp, term magnitudes)) of the state v
+            whose half-spectrum is hat."""
+            pq, pp = _powers(v, params)
+            energy, size = self._energy(hat, 1.0, v * v, pq, pp)
+            return float(energy[0]), (v, hat, pq, pp, float(size[0]))
+
+        def step(tau):
+            """The state u - tau d renormalized to the sphere (on_sphere)."""
+            trial = u - tau * direction
+            scale = rho / np.sqrt((trial * trial).sum() * vol)
+            return on_sphere(trial * scale, (u_hat - tau * d_hat) * scale)
+
+        energy, state = on_sphere(vals[None], _rfft(vals[None], grid))
+        tau = 1.0
+        for it in range(budget):
+            u, u_hat, pq, pp, size = state
+            grad = self._energy_gradient(u, u_hat, pq, pp)
+            mu = float((grad * u).sum()) * vol / rho**2
+            r = grad - mu * u
+            if np.sqrt((r * r).sum() * vol) <= self.opts.residual_tol * abs(mu) * rho:
+                return u[0], energy, it, True
+            # Precondition and project in Fourier space (Parseval).
+            g_hat = _rfft(grad, grid)
+            inv_p = 1.0 / (abs(mu) + 2.0 * coeffs.alpha * k_sq)
+            nu = dot(u_hat, inv_p * g_hat) / dot(u_hat, inv_p * u_hat)
+            d_hat = inv_p * (g_hat - nu * u_hat)
+            direction = _rfft(d_hat, grid, inverse=True)
+            slope = dot(g_hat, d_hat) * vol / grid.size
+            floor = 64 * np.finfo(float).eps * size
+
+            while True:
+                if tau * slope <= floor:
+                    return u[0], energy, it, True
+                e_trial, trial = step(tau)
+                # Minimizer of the quadratic through E(0), E'(0) and E(tau).
+                curv = e_trial - energy + tau * slope
+                if curv > 0 and 0.1 < 0.5 * tau * slope / curv < 10.0:
+                    tau_q = 0.5 * tau**2 * slope / curv
+                    e_q, trial_q = step(tau_q)
+                    if e_q < e_trial:
+                        e_trial, trial, tau = e_q, trial_q, tau_q
+                if e_trial <= energy - 1e-4 * tau * slope:
+                    break
+                tau *= 0.5
+            energy, state = e_trial, trial
+        return state[0][0], energy, budget, False
 
 
 def _kick_scale(params, coeffs, amp):
@@ -528,46 +720,6 @@ def _decay(dt, coeffs, k_sq):
     return np.exp((-2.0 * coeffs.alpha * dt)[:, None] * k_sq)
 
 
-def _start_row(params, grid, coeffs, rho, seed, opts):
-    """The starting state of one flow row of the triple coeffs: the seed
-    profile sampled on grid at mass rho^2, as a flattened real array, and
-    its energy, step and the scales of its stopping tests.  The flow keeps a
-    real state real, and steps real rows only: a seed whose samples are
-    not real (a chirp) raises ValueError."""
-    if rho <= 0:
-        raise ValueError(f"mass-sphere radius must be positive, got {rho}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        field = spectral.normalize(eval_profile(grid, seed), rho)
-    if np.any(field.values.imag):
-        raise ValueError(f"the flow needs a real seed; {seed.kind} seed has complex samples")
-    tol_neg = eval(_TOL_NEG, {"rho": rho})
-    width0 = spectral.rms_width(field)
-    # The box caps the rms width near L/sqrt(12), so the 4x growth target
-    # saturates at a box fraction for wide seeds.
-    spread_target = min(SPREAD_FACTOR * width0, grid.L / 5)
-    # On the zero branch the flow diffuses toward the box-filling state,
-    # whose energy is a small positive kinetic scale, not below tol_neg;
-    # accept energies up to that scale as the zero-infimum signature.
-    tol_spread = max(10 * tol_neg, rho**2 / spread_target**2)
-    energy = breakdown(field, params, coeffs).total
-    # Explicit-kick stability: dt * (nonlinear gradient scale) must stay
-    # below order one; deep wells (huge amplitudes) need tiny steps.
-    kick_scale = _kick_scale(params, coeffs, float(np.abs(field.values).max()))
-    dt = min(opts.dt, 3.0 / kick_scale) if kick_scale > 0 else opts.dt
-    return field.values.real.reshape(-1), dict(
-        rho=rho,
-        dt=dt,
-        dt_start=dt,
-        energy=energy,
-        energy0=energy,
-        tol_neg=tol_neg,
-        tol_spread=tol_spread,
-        spread_target=spread_target,
-        width0=width0,
-    )
-
-
 def _spreading(rows, i, energy, width):
     """The zero-branch spreading signature of rows i of rows at the given
     energy and rms width: -tol_neg < energy < tol_spread and width >=
@@ -576,141 +728,10 @@ def _spreading(rows, i, energy, width):
 
 
 def _rms_width(a2, grid):
-    """spectral.rms_width of every row, from |u|^2 as a (rows, size) array."""
+    """The rms width sqrt(|| |x| u ||_2^2 / ||u||_2^2) of every row, from
+    |u|^2 as a (rows, size) array, with box-centered |x|."""
     vol = grid.cell_volume
     return np.sqrt((grid.x_sq.reshape(-1) * a2).sum(-1) * vol) / np.sqrt(a2.sum(-1) * vol)
-
-
-def _finish(params, coeffs, grid, opts, it, rows, j):
-    """The MinimizeResult of row j of rows, flowing the triple coeffs and
-    stopped after it iterations: _polish if asked, then the residual,
-    classification and soundness.  A row that stopped uncertified without
-    the spreading signature, also on the stall test before its budget ran
-    out, is 'budget_exhausted'."""
-    rho = float(rows.rho[j])
-    vals = rows.vals[j]
-    energy = float(rows.energy[j])
-    residual = float(rows.residual[j])
-    certified = bool(rows.certified[j])
-    tol_neg = float(rows.tol_neg[j])
-    polished = certified and opts.polish
-    if polished:
-        vals, energy, polish_iters, stopped = _polish(
-            params, coeffs, rho, grid, vals, opts.residual_tol, opts.max_iters - it
-        )
-        it += polish_iters
-    final = Field(grid, vals.reshape(grid.shape))
-    if certified or not np.isfinite(residual):
-        residual = float(_residual(vals[None], grid, params, coeffs)[0])
-    width = float(_rms_width((vals * vals)[None], grid)[0])
-    width0 = rows.width0[j]
-    width_ratio = float(width / width0) if width0 > 0 else np.inf
-
-    sound = True
-    if certified:
-        classification = "converged_negative"
-        # A compact minimizer must keep the boundary shell quiet; a
-        # spreading run populates it by construction, so the monitor
-        # gates only the negative classification.
-        sound = bool(rows.worst[j] < spectral.RESOLVED_FRACTION)
-        if polished:
-            # A sub-grid spike is a stationary point of the discrete
-            # problem too; only a quiet spectral edge tells it apart.
-            sound = (
-                sound
-                and stopped
-                and spectral.truncation_fraction(final) < spectral.RESOLVED_FRACTION
-                and spectral.spectral_tail_fraction(final) < spectral.RESOLVED_FRACTION
-            )
-    elif _spreading(rows, j, energy, width):
-        classification = "spread_to_zero_energy"
-    elif abs(energy) <= tol_neg and residual < opts.residual_tol:
-        classification = "spread_to_zero_energy"
-    else:
-        classification = "budget_exhausted"
-
-    return MinimizeResult(
-        field=final,
-        energy=energy,
-        residual=residual,
-        iterations=it,
-        classification=classification,
-        tol_neg=tol_neg,
-        initial_energy=float(rows.energy0[j]),
-        width_ratio=width_ratio,
-        sound=sound,
-    )
-
-
-def _polish(params, coeffs, rho, grid, vals, residual_tol, budget):
-    """Sobolev-preconditioned projected gradient on the mass sphere
-    (Antoine, Levitt & Tang, J. Comput. Phys. 343, 2017).
-
-    The direction is d = P^{-1}(E'(u) - nu u) with P = |mu| + 2 alpha
-    |k|^2 and nu chosen so that <d, u> = 0; d vanishes exactly where
-    E'(u) = mu u.  The step u <- rho (u - tau d) / ||u - tau d||_2 takes
-    tau from a backtracking Armijo search seeded by a quadratic model, so
-    the energy falls monotonically and a certified negativity holds.
-
-    Stops when ||E'(u) - mu u||_2 <= residual_tol |mu| rho, or when the
-    decrease the line search predicts, tau <E'(u), d>, is below the
-    rounding floor of the energy (64 eps times the sum of the term
-    magnitudes), where no trial can be told apart from the current state.
-    vals is a flattened real field, and the polish stays real: it works
-    on half-spectra, as the flow does.  Returns (values, energy,
-    iterations, stopped), stopped being False when the budget ran out
-    first.
-    """
-    vol = grid.cell_volume
-    k_sq, weight = _half_spectrum(grid)
-
-    def dot(a, b):
-        """<a, b> summed over all modes, from half-spectra a and b."""
-        return float((weight * (a.real * b.real + a.imag * b.imag)).sum())
-
-    def step(u, direction, tau):
-        trial = u - tau * direction
-        trial *= rho / np.sqrt((trial * trial).sum() * vol)
-        return trial, breakdown(Field(grid, trial.reshape(grid.shape)), params, coeffs)
-
-    u = vals[None]
-    b = breakdown(Field(grid, vals.reshape(grid.shape)), params, coeffs)
-    tau = 1.0
-    for it in range(budget):
-        u_hat = _rfft(u, grid)
-        pq, pp = _powers(u, params)
-        grad = _energy_gradient(u, u_hat, pq, pp, k_sq, grid, params, coeffs)
-        mu = float((grad * u).sum()) * vol / rho**2
-        r = grad - mu * u
-        if np.sqrt((r * r).sum() * vol) <= residual_tol * abs(mu) * rho:
-            return u[0], b.total, it, True
-        # Precondition and project in Fourier space (Parseval).
-        g_hat = _rfft(grad, grid)
-        inv_p = 1.0 / (abs(mu) + 2.0 * coeffs.alpha * k_sq)
-        nu = dot(u_hat, inv_p * g_hat) / dot(u_hat, inv_p * u_hat)
-        d_hat = inv_p * (g_hat - nu * u_hat)
-        direction = _rfft(d_hat, grid, inverse=True)
-        slope = dot(g_hat, d_hat) * vol / grid.size
-        floor = 64 * np.finfo(float).eps * (
-            coeffs.alpha * b.kinetic + coeffs.beta * b.nq + coeffs.gamma * b.np
-        )
-
-        while True:
-            if tau * slope <= floor:
-                return u[0], b.total, it, True
-            trial, b_trial = step(u, direction, tau)
-            # Minimizer of the quadratic through E(0), E'(0) and E(tau).
-            curv = b_trial.total - b.total + tau * slope
-            if curv > 0 and 0.1 < 0.5 * tau * slope / curv < 10.0:
-                tau_q = 0.5 * tau**2 * slope / curv
-                trial_q, b_q = step(u, direction, tau_q)
-                if b_q.total < b_trial.total:
-                    trial, b_trial, tau = trial_q, b_q, tau_q
-            if b_trial.total <= b.total - 1e-4 * tau * slope:
-                break
-            tau *= 0.5
-        u, b = trial, b_trial
-    return u[0], b.total, budget, False
 
 
 @dataclass

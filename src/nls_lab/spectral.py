@@ -29,7 +29,6 @@ __all__ = [
     "momentum",
     "power_integrals",
     "normalize",
-    "rms_width",
     "truncation_fraction",
     "outside_fraction",
     "spectral_tail_fraction",
@@ -110,14 +109,6 @@ def normalize(field, rho):
     if cur == 0:
         raise ValueError("cannot normalize the zero field")
     return field.with_values(field.values * (rho / cur))
-
-
-def rms_width(field):
-    """sqrt(|| |x| u ||_2^2 / ||u||_2^2)."""
-    m = mass(field)
-    if m == 0:
-        return 0.0
-    return weighted_l2(field) / np.sqrt(m)
 
 
 # A state counts as resolved while its truncation fraction (mass outside

@@ -265,6 +265,39 @@ def test_cli_verify_run(tmp_path, capsys):
     assert "FAIL" not in report
 
 
+def test_cli_verify_failure_exits_6_without_a_manifest(tmp_path, capsys, monkeypatch):
+    """A failing check prints its FAIL line, still writes the report,
+    and exits EXIT_VERIFY with no manifest: here a free propagator that
+    gains 0.1% of amplitude per call breaks unitarity."""
+    free_propagate = cli.conformal.free_propagate
+
+    def gaining(field, t):
+        return free_propagate(field.with_values(1.001 * field.values), t)
+
+    monkeypatch.setattr(cli.conformal, "free_propagate", gaining)
+    cfg = _write(tmp_path, "n = 256\n")
+    out = str(tmp_path / "v")
+    rc = cli.main(["verify", "--config", cfg, "--out", out])
+    assert rc == cli.EXIT_VERIFY == 6
+    captured = capsys.readouterr()
+    assert "FAIL free_unitarity" in captured.out
+    assert "verification suite reported failures" in captured.err
+    report = open(out + ".verify.txt").read()
+    assert "FAIL free_unitarity" in report and "PASS mass_conservation" in report
+    assert not (tmp_path / "v.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "d, q, p, hi", [(1, 4, 3.5, 5.0), (1, 4, 4, 5.0), (1, 4, 5, 5.0), (1, 4, 6.5, 5.0), (2, 2, 3.2, 3.0)]
+)
+def test_p_outside_q_to_the_critical_power_is_a_config_error(d, q, p, hi):
+    """p must lie strictly between q and 1 + 4/d; the message names both
+    ends and the value."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"d = {d}\nq = {q}\nrho = 0.5\np = {p}\n", "groundstate")
+    assert exc.value.errors == [f"p: requires q < p < {hi} (got {float(p)})"]
+
+
 def test_cli_sweep_run(tmp_path):
     cfg = _write(tmp_path, "d = 1\nsweep.q_count = 3\nsweep.p_count = 3\n")
     out = str(tmp_path / "w")

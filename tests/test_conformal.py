@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nls_lab import backend, conformal, spectral
-from nls_lab.evolution import EvolutionState, EvolveControls, evolve_monitor
+from nls_lab.evolution import EvolutionState, EvolveControls, MonitorRun, evolve_monitor
 from nls_lab.grid import AnalyticProfile, eval_profile
 from oracles import free_gaussian
 
@@ -120,3 +120,50 @@ def test_scattering_probe_needs_snapshots(grid512, sparams):
     run = evolve_monitor(state, 0.5, EvolveControls(dt_base=1e-2, cadence=10))
     with pytest.raises(ValueError):
         conformal.scattering_probe(run)
+
+
+def _synthetic_run(psi0, amplitudes, taus=(0.9, 0.95, 0.99)):
+    """A sound MonitorRun whose snapshot at taus[i] is the free evolution
+    of amplitudes[i] * psi0, so that U(-tau) maps it back to exactly
+    amplitudes[i] * psi0: its residual to the finest snapshot is
+    |amplitudes[i] - amplitudes[-1]| ||psi0||_2, and the probe's tol is
+    1e-3 ||psi0||_2."""
+    snapshots = [
+        (t, conformal.free_propagate(psi0.with_values(a * psi0.values), t)) for t, a in zip(taus, amplitudes)
+    ]
+    return MonitorRun(mass=spectral.mass(psi0), unsound_from=None, snapshots=snapshots)
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        (1.0, 2.0, 3.0),  # the finest residual is 1000 tol
+        (1.003, 1.0, 1.005),  # 5 tol, but the residuals grow toward the finest pair
+    ],
+)
+def test_scattering_probe_flags_a_violation(psi0, amplitudes):
+    rep = conformal.scattering_probe(_synthetic_run(psi0, amplitudes))
+    assert rep.verdict == "violated"
+    assert rep.psi_plus is None
+
+
+def test_scattering_probe_sound_but_inconclusive(psi0):
+    """Residuals that fall toward the finest pair but end between tol and
+    10 tol on a sound run leave the limit uncertified."""
+    rep = conformal.scattering_probe(_synthetic_run(psi0, (1.0, 1.008, 1.013)))
+    assert rep.tol < rep.finest_residual < 10 * rep.tol
+    assert rep.finest_residual == pytest.approx(5 * rep.tol, rel=1e-9)
+    assert rep.verdict == "inconclusive"
+    assert rep.psi_plus is None
+
+
+def test_scattering_probe_consistent_on_a_synthetic_run(psi0):
+    rep = conformal.scattering_probe(_synthetic_run(psi0, (1.0, 1.0, 1.0)))
+    assert rep.verdict == "scattering_consistent"
+    assert rep.finest_residual < 1e-12
+
+
+@pytest.mark.parametrize("taus", [(0.9, 0.9, 0.99), (0.95, 0.9, 0.99)])
+def test_scattering_probe_needs_increasing_taus(psi0, taus):
+    with pytest.raises(ValueError, match="increasing tau"):
+        conformal.scattering_probe(_synthetic_run(psi0, (1.0, 1.0, 1.0), taus))

@@ -298,10 +298,8 @@ def test_flow_energy_is_breakdown_total(case, width, iters):
     assert res.energy == pytest.approx(breakdown(res.field, params, coeffs).total, rel=1e-12, abs=0)
 
 
-def test_flow_fft_budget(params, monkeypatch):
-    """A flow iteration makes one rfftn and one irfftn, and a checkpoint
-    (every 10 iterations, and at the last) one more irfftn; the one
-    complex FFT is the breakdown of the starting energy."""
+def _count_transforms(monkeypatch):
+    """Count numpy's rfftn, irfftn, fftn and ifftn calls from now on."""
     counts = dict.fromkeys(("rfftn", "irfftn", "fftn", "ifftn"), 0)
     for name in counts:
         transform = getattr(np.fft, name)
@@ -311,9 +309,31 @@ def test_flow_fft_budget(params, monkeypatch):
             return _transform(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def test_flow_fft_budget(params, monkeypatch):
+    """A flow iteration makes one rfftn and one irfftn, and a checkpoint
+    (every 10 iterations, and at the last) one more irfftn; the start
+    energy takes one more rfftn, and no complex FFT runs."""
+    counts = _count_transforms(monkeypatch)
     res = gs.minimize_on_sphere(params, gs.triple_energy(params), 2.6, gs.FlowOptions(max_iters=25))
     assert res.classification == "budget_exhausted"
-    assert counts == {"rfftn": 25, "irfftn": 25 + 3, "fftn": 1, "ifftn": 0}
+    assert counts == {"rfftn": 26, "irfftn": 28, "fftn": 0, "ifftn": 0}
+
+
+def test_polished_run_makes_one_complex_fft(params, monkeypatch):
+    """A polished minimization takes every energy from half-spectra: its
+    one complex FFT is _finish's spectral-tail check of the result.  A
+    polish trial takes no transform, and a polish iteration one rfftn and
+    two irfftn, so the real transforms stay at this run's 65 and 123
+    (its flow and polish together run 61 iterations)."""
+    counts = _count_transforms(monkeypatch)
+    opts = gs.FlowOptions(max_iters=6000, polish=True, residual_tol=1e-10)
+    res = gs.minimize_on_sphere(params, gs.triple_energy(params), 2.6, opts)
+    assert res.classification == "converged_negative" and res.sound
+    assert res.iterations == 61
+    assert counts == {"rfftn": 65, "irfftn": 123, "fftn": 1, "ifftn": 0}
 
 
 def test_tol_neg_rule_is_the_flows_tolerance(params):
@@ -330,6 +350,34 @@ def test_flow_rejects_complex_seed(params):
     seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=3.0, chirp=0.3)
     with pytest.raises(ValueError, match="real seed"):
         gs.minimize_on_sphere(params, gs.triple_energy(params), 1.0, seed=seed)
+
+
+def test_flow_stops_on_the_residual_at_positive_energy():
+    """A flow stops once its residual falls below residual_tol, before its
+    budget: at d=1, q=3.5, p=4.5 and rho=2.14 the width-8 seed settles on
+    a stationary state of positive energy, at iteration 260 of 3,000.
+    That state is neither certified nor spreading, so it is
+    'budget_exhausted' (MinimizeResult); it has more than doubled its
+    width at nonnegative energy, so the probe reads it as the zero
+    branch."""
+    params = ModelParams(d=1, q=3.5, p=4.5)
+    seed = AnalyticProfile(kind="gaussian", amplitude=1.0, width=8.0)
+    res = gs.minimize_on_sphere(params, gs.triple_energy(params), 2.14, seed=seed)
+    assert res.iterations == 260 < gs.FlowOptions().max_iters
+    assert res.residual < gs.FlowOptions().residual_tol
+    assert res.residual == pytest.approx(3.217e-9, rel=1e-3)
+    assert res.energy == pytest.approx(0.029421, rel=1e-4)
+    assert res.energy > res.tol_neg
+    assert res.classification == "budget_exhausted"
+    assert res.width_ratio == pytest.approx(3.266, rel=1e-4)
+    assert gs._decision([res]) == "zero"
+
+
+def test_dilation_fit_needs_a_gaussian_seed(params):
+    """The fit reads the closed-form integrals of a Gaussian."""
+    seed = AnalyticProfile(kind="sech", amplitude=1.0, width=3.0)
+    with pytest.raises(ValueError, match="Gaussian"):
+        gs._dilation_fit(params, gs.triple_energy(params), 2.6, seed)
 
 
 def test_a_wide_seed_at_low_mass_spreads_in_few_iterations(params):

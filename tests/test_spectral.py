@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nls_lab import backend, spectral
+from nls_lab.ground_state import _rms_width
 from nls_lab.grid import AnalyticProfile, Grid, eval_profile
 
 
@@ -80,7 +81,8 @@ def test_normalize_and_rms_width(grid512):
     g = spectral.normalize(f, 1.7)
     assert spectral.l2_norm(g) == pytest.approx(1.7, rel=1e-13)
     # rms width of exp(-x^2 / 2w^2) is w / sqrt(2)
-    assert spectral.rms_width(g) == pytest.approx(2.0 / np.sqrt(2), rel=1e-10)
+    a2 = np.abs(g.values.reshape(1, -1)) ** 2
+    assert _rms_width(a2, grid512)[0] == pytest.approx(2.0 / np.sqrt(2), rel=1e-10)
     with pytest.raises(ValueError):
         spectral.normalize(f.with_values(np.zeros_like(f.values)), 1.0)
 
@@ -107,6 +109,20 @@ def test_eval_at_scale_matches_dilated_gaussian(grid512):
         out = spectral.eval_at_scale(f, s)
         inside = np.abs(s * grid512.axis) <= grid512.L / 2
         expect = np.exp(-((s * grid512.axis) ** 2) / 8.0) * inside
+        assert np.max(np.abs(out.values - expect)) < 1e-10
+
+
+def test_eval_at_scale_matches_dilated_gaussian_in_2d():
+    """The interpolant is contracted axis by axis: in d=2 it matches the
+    dilated Gaussian on the whole grid, and zero where a point leaves the
+    box on either axis."""
+    grid = Grid(d=2, n=64, L=32.0)
+    f = eval_profile(grid, AnalyticProfile(kind="gaussian", amplitude=1.0, width=2.0))
+    for s in (0.5, 1.3):
+        out = spectral.eval_at_scale(f, s)
+        x = s * grid.axis
+        inside = np.abs(x) <= grid.L / 2
+        expect = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 8.0) * np.multiply.outer(inside, inside)
         assert np.max(np.abs(out.values - expect)) < 1e-10
 
 
