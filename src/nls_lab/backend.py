@@ -19,15 +19,17 @@ def backend_name():
     return "numpy"
 
 
-def nonlinear_phase(values, qm1, pm1, wq, wp):
-    """In place: v *= exp(-i (wq |v|^qm1 - wp |v|^pm1)). Expects a 1D view.
+def nonlinear_phase(values, a2, qm1, pm1, wq, wp):
+    """In place: v *= exp(-i (wq |v|^qm1 - wp |v|^pm1)), a2 being |v|^2.
+    Expects 1D views.
 
-    The factor is built as cos + i sin of the angle wp |v|^pm1 - wq |v|^qm1:
-    the complex exp evaluates the same cos and sin (the fields come out bit
-    for bit the same), and this skips its complex argument, at about 0.75x
-    its cost."""
-    a = np.abs(values)
-    angle = wp * a**pm1 - wq * a**qm1
+    The rotation leaves |v| unchanged, so the Strang loop forms |v|^2
+    once for its truncation monitor and every rotation of the same
+    values.  The factor is built as cos + i sin of the
+    angle wp |v|^pm1 - wq |v|^qm1: the complex exp evaluates the same cos
+    and sin, and this skips its complex argument, at about 0.75x its
+    cost."""
+    angle = wp * a2 ** (0.5 * pm1) - wq * a2 ** (0.5 * qm1)
     factor = np.empty(values.shape, complex)
     np.cos(angle, out=factor.real)
     np.sin(angle, out=factor.imag)

@@ -10,13 +10,15 @@ nonlinear substep therefore rotates the phase by minus the integrated
 coefficients.  Both substeps preserve |values| pointwise or spectrally,
 so the mass is conserved to roundoff.
 
-The loop carries the state's spectrum (its fftn) from step to step: a
-step takes 2 transforms (into physical space for the nonlinear phase
-and back), and a diagnostic record 1 more (the physical state it
-reads).  A step right after a record takes its inverse transform in one
-(2, ...) batch with the record's, so the pair costs one call.  The
-kinetic term and the momentum of a record come from the spectrum by
-Parseval, with no transform.
+A Strang step runs in nonlinear-linear-nonlinear order, and the loop
+carries physical values from step to step.  Two consecutive half
+rotations act on the same |values|, so they merge into one, and a step
+takes 2 transforms, those of its linear substep.  The |values|^2 that
+rotation reads also serves the truncation monitor and the mass, so a
+monitor record takes no transform.  A record that reads the phase (a
+snapshot, or evolve's kinetic term and momentum) applies the open half
+rotation to a copy; evolve then takes 1 forward transform of it, and K
+and P come from that spectrum by Parseval.
 
 The Strang loop is written once (_strang_records) and read twice:
 evolve builds full diagnostic records, and evolve_monitor keeps only
@@ -103,19 +105,21 @@ def nonlinear_phase_weights(model, clock, dt, params):
     return tuple(out)
 
 
-class StrangStepper:
-    """Symmetric splitting: exact half linear step, exact nonlinear phase
-    with substep-integrated coefficients, exact half linear step.
+def _abs2(values):
+    return values.real**2 + values.imag**2
 
-    The state is a spectrum, fftn of the field, advanced in place: the
-    half linear steps multiply it, and the nonlinear phase acts on its
-    inverse transform, so a step takes 2 transforms, or 1 when
-    record_values has already taken its inverse one.  The inverse lands
-    in a buffer the stepper owns, the forward one in hat.  Every step applies the nonlinear phase;
-    conformal.free_propagate is the free group.  The half linear
-    multiplier is built once per dt.  A step of -dt from clock + dt
-    undoes a step of dt from clock: the half linear phase and the
-    integrated weights both change sign.
+
+class StrangStepper:
+    """Symmetric splitting in nonlinear-linear-nonlinear order: exact
+    half nonlinear phase with substep-integrated coefficients, exact
+    linear step, exact half nonlinear phase.
+
+    Its pieces act in place on physical values.  rotate is the nonlinear
+    flow, a pointwise phase that leaves |v| unchanged, so it takes the
+    |v|^2 its caller holds; free is the linear flow, the free group of
+    conformal.free_propagate, at 2 transforms, with its multiplier built
+    once per dt.  A step of -dt from clock + dt undoes a step of dt from
+    clock: the linear phase and the integrated weights both change sign.
     """
 
     def __init__(self, grid, params, model):
@@ -126,56 +130,46 @@ class StrangStepper:
         self._pm1 = params.p - 1.0
         self._k_sq_half = grid.wavenumbers[: grid.n // 2 + 1] ** 2
         self._dt = None
-        self._half = None
-        # Row 0: a record's values; row 1: the values a step works on.
-        self._buf = np.empty((2, *grid.shape), dtype=np.complex128)
-        self._axes = tuple(range(1, grid.d + 1))
+        self._mult = None
 
-    def _half_linear(self, dt):
-        """exp(-i |k|^2 dt / 2).  The symbol is even in k and separable
-        over axes, so cos and sin are taken on the n/2 + 1 wavenumbers
-        k >= 0 of one axis (the Nyquist one is its own mirror image),
-        mirrored to the negative ones and multiplied out over the axes."""
+    def _symbol(self, dt):
+        """exp(-i |k|^2 dt).  The symbol is even in k and separable over
+        axes, so cos and sin are taken on the n/2 + 1 wavenumbers k >= 0
+        of one axis (the Nyquist one is its own mirror image), mirrored
+        to the negative ones and multiplied out over the axes."""
         if dt != self._dt:
             h = self.grid.n // 2
-            angle = 0.5 * self._k_sq_half * dt
+            angle = self._k_sq_half * dt
             axis = np.empty(self.grid.n, dtype=np.complex128)
             np.cos(angle, out=axis.real[: h + 1])
             np.sin(-angle, out=axis.imag[: h + 1])
             axis[h + 1 :] = axis[h - 1 : 0 : -1]
-            half = axis
+            symbol = axis
             for _ in range(self.grid.d - 1):
-                half = np.multiply.outer(half, axis)
-            self._half = half
+                symbol = np.multiply.outer(symbol, axis)
+            self._mult = symbol
             self._dt = dt
-        return self._half
+        return self._mult
 
-    def step(self, hat, clock, dt, values=None):
-        """Advance the spectrum hat in place from clock to clock + dt
-        (backward when dt < 0).  values, if given, is the second array
-        record_values(hat, dt) returned, ifftn of hat times the half
-        linear step, and the step starts from it."""
-        half = self._half_linear(dt)
+    def rotate(self, values, a2, clock, dt):
+        """The nonlinear flow of values, in place, from clock to clock +
+        dt; a2 is |values|^2."""
         wq, wp = nonlinear_phase_weights(self.model, clock, dt, self.params)
-        if values is None:
-            hat *= half
-            values = np.fft.ifftn(hat, out=self._buf[1])
-        backend.nonlinear_phase(values.reshape(-1), self._qm1, self._pm1, wq, wp)
-        np.fft.fftn(values, out=hat)
-        hat *= half
+        backend.nonlinear_phase(values.reshape(-1), a2.reshape(-1), self._qm1, self._pm1, wq, wp)
 
-    def record_values(self, hat, next_dt=None):
-        """(ifftn(hat), None); with next_dt, (ifftn(hat), ifftn(hat *
-        half)) for the half linear step of next_dt, taken as one batched
-        transform, the second for step(hat, clock, next_dt, values).  Both
-        are the stepper's buffers, overwritten by its next call."""
-        if next_dt is None:
-            return np.fft.ifftn(hat, out=self._buf[0]), None
-        buf = self._buf
-        buf[0] = hat
-        np.multiply(hat, self._half_linear(next_dt), out=buf[1])
-        np.fft.ifftn(buf, axes=self._axes, out=buf)
-        return buf[0], buf[1]
+    def free(self, values, dt):
+        """The linear flow of values, in place, over dt."""
+        np.fft.fftn(values, out=values)
+        values *= self._symbol(dt)
+        np.fft.ifftn(values, out=values)
+
+    def step(self, values, clock, dt):
+        """Advance values in place from clock to clock + dt (backward
+        when dt < 0)."""
+        h = 0.5 * dt
+        self.rotate(values, _abs2(values), clock, h)
+        self.free(values, dt)
+        self.rotate(values, _abs2(values), clock + h, h)
 
 
 @dataclass
@@ -260,17 +254,17 @@ class Trajectory:
         return buf.getvalue()
 
 
-def _record(grid, params, clock, hat, values, A, snapshot):
-    """Diagnostics at clock of the state with spectrum hat and values
-    ifftn(hat), which evolve has already checked finite.  E_A and R_A are
+def _record(grid, params, clock, values, a2, total, A, snapshot):
+    """Diagnostics at clock of the state values, whose |v|^2 is a2 and
+    total its sum; the loop has checked total finite.  K and P come from
+    the one forward transform of values by Parseval.  E_A and R_A are
     taken at tau = clock, so A is None unless the run is conformal.  A
     Field of the values is built only for a snapshot."""
-    kinetic, *momentum = spectral.parseval_sums(hat, grid, (grid.k_sq, *grid.k_mesh))
+    kinetic, *momentum = spectral.parseval_sums(np.fft.fftn(values), grid, (grid.k_sq, *grid.k_mesh))
     # One |v|^2 serves the power integrals of the breakdown and the
     # truncation monitor.
-    a2 = values.real**2 + values.imag**2
-    sums = backend.abs2_power_sums(a2.ravel(), params.q + 1.0, params.p + 1.0)
-    mass, nq, npw = (float(s) * grid.cell_volume for s in sums)
+    _, sq, sp = backend.abs2_power_sums(a2.ravel(), params.q + 1.0, params.p + 1.0)
+    mass, nq, npw = (float(s) * grid.cell_volume for s in (total, sq, sp))
     c = energy_coeffs(params)
     b = EnergyBreakdown(
         kinetic=kinetic, nq=nq, np=npw, mass=mass,
@@ -286,22 +280,29 @@ def _record(grid, params, clock, hat, values, A, snapshot):
         energy=b.total,
         e_mod=None if A is None else modified_energy_terms(clock, b, A, params),
         r_mod=None if A is None else correction_energy_terms(clock, b, A, params),
-        sound=spectral.outside_fraction(a2, grid) < spectral.RESOLVED_FRACTION,
-        snapshot=Field(grid, values.copy()) if snapshot else None,
+        sound=spectral.outside_fraction(a2, grid, total) < spectral.RESOLVED_FRACTION,
+        snapshot=Field(grid, values) if snapshot else None,
     )
 
 
 def _strang_records(state, end_clock, controls):
-    """The Strang loop of evolve and evolve_monitor: yields (clock, hat,
-    values, snapshot) at each record, the start, every cadence-th step
-    and each stop (a snapshot clock or end_clock).  hat is the carried
-    spectrum and values its ifftn (at the start, the input field's own
-    values); both are overwritten when the loop resumes, so a reader
-    copies what it keeps.  snapshot tells whether the clock is one of
-    controls.snapshot_clocks.  A step that follows a record starts from
-    the second half of the record's paired inverse transform
-    (StrangStepper.record_values).  A non-finite spectrum raises
-    EvolutionError, with no trajectory.
+    """The Strang loop of evolve and evolve_monitor: yields (clock, a2,
+    total, exact, snapshot) at each record, the start, every cadence-th
+    step and each stop (a snapshot clock or end_clock).
+
+    The loop carries physical values with the last step's trailing half
+    rotation left open.  The rotation leaves |v| unchanged, so that half
+    and the next step's leading half act on the same |v| and merge into
+    one rotation, over the coefficients from one step's midpoint to the
+    next's: a step takes the 2 transforms of its linear flow.  a2 is
+    |v|^2 at clock and total its sum, which the run checks finite at
+    every step (a non-finite sample makes it non-finite) and raises
+    EvolutionError otherwise, with no trajectory.  exact() returns the
+    state at clock as a new array: the open rotation applied to a copy,
+    with no transform, so the trajectory never depends on which steps
+    record.  exact reads the loop's current values, so a reader calls it
+    before the loop resumes.  snapshot tells whether the clock is one of
+    controls.snapshot_clocks.
     """
     if end_clock <= state.clock:
         raise ValueError("end_clock must exceed the current clock")
@@ -314,13 +315,19 @@ def _strang_records(state, end_clock, controls):
     snapshot_set = set(float(c) for c in controls.snapshot_clocks)
 
     stepper = StrangStepper(state.field.grid, state.params, state.model)
-    hat = np.fft.fftn(state.field.values)
-    clock = state.clock
-    yield clock, hat, state.field.values, clock in snapshot_set
+    values = state.field.values.copy()
+    a2 = _abs2(values)
+    # The values carry the nonlinear phase up to the clock since.
+    clock = since = state.clock
 
-    # (clock, snapshot) of the record after the last step, yielded once
-    # the next step's dt is known, so that their inverse transforms pair.
-    pending = None
+    def exact():
+        out = values.copy()
+        if since != clock:  # at the start no rotation is open
+            stepper.rotate(out, a2, since, clock - since)
+        return out
+
+    yield clock, a2, float(a2.sum()), exact, clock in snapshot_set
+
     steps = 0
     for stop in stops:
         while clock < stop - 1e-13:
@@ -328,25 +335,20 @@ def _strang_records(state, end_clock, controls):
             if state.model == "conformal":
                 dt = min(dt, controls.c_adapt * (1.0 - clock))
             dt = min(dt, stop - clock)
-            values = None
-            if pending:
-                record, values = stepper.record_values(hat, dt)
-                yield pending[0], hat, record, pending[1]
-                pending = None
-            stepper.step(hat, clock, dt, values)
-            clock += dt
+            mid = clock + 0.5 * dt
+            stepper.rotate(values, a2, since, mid - since)
+            stepper.free(values, dt)
+            clock, since = clock + dt, mid
             steps += 1
-            # A non-finite value anywhere in the field spreads over its
-            # whole transform, so checking the spectrum checks the field.
-            if not np.all(np.isfinite(hat.view(np.float64))):
+            a2 = _abs2(values)
+            total = float(a2.sum())
+            if not np.isfinite(total):
                 raise EvolutionError(f"non-finite field at clock {clock}")
             at_stop = clock >= stop - 1e-13
             if steps % controls.cadence == 0 or at_stop:
                 if at_stop:
                     clock = stop
-                pending = clock, at_stop and stop in snapshot_set
-    if pending:
-        yield pending[0], hat, stepper.record_values(hat)[0], pending[1]
+                yield clock, a2, total, exact, at_stop and stop in snapshot_set
 
 
 def evolve(state, end_clock, controls):
@@ -357,20 +359,20 @@ def evolve(state, end_clock, controls):
     end_clock.  A truncation-monitor trip marks the trajectory unsound
     from that record onward (records keep accumulating).
 
-    The input state is validated once, at its construction, and its
-    field transformed once; the steps advance its spectrum.  A record
-    takes the values ifftn(hat) of the spectrum, and a Field of them only
-    for a snapshot.  A non-finite spectrum raises EvolutionError with the
-    records so far.  E_A and R_A are conformal diagnostics: a physical
-    state with controls.A set raises ValueError.
+    The input state is validated once, at its construction.  A record
+    takes the state at its clock (the loop's exact()) and one forward
+    transform of it, and a Field of it only for a snapshot.  A non-finite
+    field raises EvolutionError with the records so far.  E_A and R_A are
+    conformal diagnostics: a physical state with controls.A set raises
+    ValueError.
     """
     if state.model == "physical" and controls.A is not None:
         raise ValueError("the decay exponent A is read by a conformal evolve only")
     grid, params, A = state.field.grid, state.params, controls.A
     traj = Trajectory(model=state.model, params=params, A=A)
     try:
-        for clock, hat, values, snapshot in _strang_records(state, end_clock, controls):
-            traj.records.append(_record(grid, params, clock, hat, values, A, snapshot))
+        for clock, a2, total, exact, snapshot in _strang_records(state, end_clock, controls):
+            traj.records.append(_record(grid, params, clock, exact(), a2, total, A, snapshot))
     except EvolutionError as exc:
         exc.trajectory = traj
         raise
@@ -397,19 +399,19 @@ def evolve_monitor(state, end_clock, controls):
     """evolve's steps and records, of which it keeps only the truncation
     monitor of each, the mass of the first and the snapshots: the same
     values, bit for bit, as evolve's trajectory, without the energy
-    breakdown.  controls.A is not read.  A non-finite spectrum raises
+    breakdown.  The monitor and the mass read the loop's |v|^2, so only
+    a snapshot pays for the state at its clock, and no record takes a
+    transform.  controls.A is not read.  A non-finite field raises
     EvolutionError."""
     grid = state.field.grid
     mass, unsound_from, snapshots = None, None, []
-    for i, (clock, _, values, snapshot) in enumerate(_strang_records(state, end_clock, controls)):
+    for i, (clock, a2, total, exact, snapshot) in enumerate(_strang_records(state, end_clock, controls)):
         if snapshot:
-            snapshots.append((clock, Field(grid, values.copy())))
+            snapshots.append((clock, Field(grid, exact())))
         if unsound_from is None:
-            a2 = values.real**2 + values.imag**2
             if mass is None:
-                # The reduction of _record's power sums, for the same bits.
-                mass = float(a2.ravel().sum(-1)) * grid.cell_volume
-            if not spectral.outside_fraction(a2, grid) < spectral.RESOLVED_FRACTION:
+                mass = total * grid.cell_volume
+            if not spectral.outside_fraction(a2, grid, total) < spectral.RESOLVED_FRACTION:
                 unsound_from = i
     return MonitorRun(mass=mass, unsound_from=unsound_from, snapshots=snapshots)
 

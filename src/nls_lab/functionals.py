@@ -112,9 +112,9 @@ class EnergyBreakdown:
 def breakdown(field, params, coeffs=None):
     """Compute the raw integrals of a complex field once, K by one
     complex FFT (spectral.gradient_sq_norm); total uses coeffs (default:
-    the physical energy weights).  An evolution record, which holds its
-    field's spectrum and shares one |u|^2 with the truncation monitor,
-    builds its EnergyBreakdown itself (evolution._record).  The threshold
+    the physical energy weights).  An evolution record, which shares
+    the Strang loop's |u|^2 with the truncation monitor and the phase
+    rotation, builds its EnergyBreakdown itself (evolution._record).  The threshold
     engine does not call it: its flow, start rows and polish take every
     energy from real rows and their half-spectra (ground_state._Flow)."""
     if coeffs is None:

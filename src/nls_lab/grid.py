@@ -104,6 +104,11 @@ class Grid:
         return inside
 
     @cached_property
+    def outside_mask(self):
+        """~core_mask: True outside the core box."""
+        return ~self.core_mask
+
+    @cached_property
     def half_nyquist_mask(self):
         """True where every wavenumber component is at most half the
         Nyquist wavenumber, pi n / (2 L)."""

@@ -122,13 +122,14 @@ def truncation_fraction(field):
     return outside_fraction(field.values.real**2 + field.values.imag**2, field.grid)
 
 
-def outside_fraction(a2, grid):
+def outside_fraction(a2, grid, total=None):
     """truncation_fraction of the field whose |u|^2 is a2, a grid-shaped
-    array."""
-    total = float(a2.sum())
+    array; total, if given, is the sum of a2."""
+    if total is None:
+        total = float(a2.sum())
     if total == 0:
         return 0.0
-    return float(a2[~grid.core_mask].sum()) / total
+    return float(a2[grid.outside_mask].sum()) / total
 
 
 def spectral_tail_fraction(field):

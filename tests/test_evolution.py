@@ -89,12 +89,12 @@ def _round_trip_error(psi0, params, model, clock, dt=1e-2, steps=20):
     """Max deviation from psi0 after steps of dt from clock, then as many
     of -dt back to clock."""
     stepper = StrangStepper(psi0.grid, params, model)
-    hat = np.fft.fftn(psi0.values)
+    values = psi0.values.copy()
     for step in (dt, -dt):
         for _ in range(steps):
-            stepper.step(hat, clock, step)
+            stepper.step(values, clock, step)
             clock += step
-    return np.max(np.abs(np.fft.ifftn(hat) - psi0.values))
+    return np.max(np.abs(values - psi0.values))
 
 
 def test_time_reversal(psi0, params):
@@ -105,13 +105,13 @@ def test_time_reversal(psi0, params):
     "grid, params",
     [(Grid(2, 32, 16.0), ModelParams(d=2, q=2.0, p=2.5)), (Grid(3, 8, 8.0), ModelParams(d=3, q=1.5, p=2.0))],
 )
-def test_half_linear_step_is_the_multi_axis_symbol(grid, params):
-    """The half linear multiplier, built on one axis and multiplied out
-    over d axes, is exp(-i |k|^2 dt / 2) on the whole d-dimensional grid,
-    also for a step that changes dt and for a backward one."""
+def test_linear_step_is_the_multi_axis_symbol(grid, params):
+    """The linear multiplier, built on one axis and multiplied out over
+    d axes, is exp(-i |k|^2 dt) on the whole d-dimensional grid, also
+    for a step that changes dt and for a backward one."""
     stepper = StrangStepper(grid, params, "physical")
     for dt in (1e-2, 0.37, -0.05):
-        assert np.max(np.abs(stepper._half_linear(dt) - np.exp(-0.5j * dt * grid.k_sq))) < 1e-14
+        assert np.max(np.abs(stepper._symbol(dt) - np.exp(-1j * dt * grid.k_sq))) < 1e-14
 
 
 def _d2_datum():
@@ -141,8 +141,8 @@ def test_conformal_time_reversal(psi0, params):
 
 
 def test_records_match_their_snapshot_fields(psi0, params):
-    # Records read K and P off the carried spectrum; recompute them, and
-    # the rest of the breakdown, from each snapshot field.
+    # Records read K and P off the transform of their state; recompute
+    # them, and the rest of the breakdown, from each snapshot field.
     k0 = psi0.grid.wavenumbers[5]
     moving = psi0.with_values(psi0.values * np.exp(1j * k0 * psi0.grid.axis))
     st0 = EvolutionState(moving, 0.0, "conformal", params)
@@ -174,8 +174,9 @@ def test_record_cadence_does_not_change_the_trajectory(psi0, params):
 
 
 def test_fft_budget(psi0, params, monkeypatch):
-    # 1 transform of the initial state, 2 a step, 1 a record after it,
-    # counted as transforms computed: a batched call computes one per row.
+    # 2 transforms a step, those of its linear flow; a record of evolve
+    # takes 1 forward transform of its state, a record of evolve_monitor
+    # none, not even for a snapshot.  No call is batched.
     counts = {"fft": 0, "calls": 0, "step": 0}
     for name in ("fftn", "ifftn"):
         transform = getattr(np.fft, name)
@@ -186,23 +187,26 @@ def test_fft_budget(psi0, params, monkeypatch):
             return _transform(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    step = StrangStepper.step
+    free = StrangStepper.free
 
-    def counted_step(*args, **kwargs):
+    def counted_free(*args, **kwargs):
         counts["step"] += 1
-        return step(*args, **kwargs)
+        return free(*args, **kwargs)
 
-    monkeypatch.setattr(StrangStepper, "step", counted_step)
+    monkeypatch.setattr(StrangStepper, "free", counted_free)
     st0 = EvolutionState(psi0, 0.0, "physical", params)
     for cadence, records in ((1, 21), (7, 4)):
         counts.update(fft=0, calls=0, step=0)
         traj = evolve(st0, 0.2, EvolveControls(dt_base=1e-2, cadence=cadence))
         assert counts["step"] == 20
         assert len(traj.records) == records
-        assert counts["fft"] == 2 * counts["step"] + (records - 1) + 1
-        # Each record but the first (the input's own values) and the last
-        # (no step follows) shares one call with the next step's inverse.
-        assert counts["calls"] == counts["fft"] - (records - 2)
+        assert counts["fft"] == 2 * counts["step"] + records
+        assert counts["calls"] == counts["fft"]
+        counts.update(fft=0, calls=0, step=0)
+        run = evolve_monitor(st0, 0.2, EvolveControls(dt_base=1e-2, cadence=cadence,
+                                                      snapshot_clocks=(0.1, 0.2)))
+        assert counts["step"] == 20 and len(run.snapshots) == 2
+        assert counts["fft"] == counts["calls"] == 2 * counts["step"]
 
 
 def test_blowup_raises_with_the_records_before_it(params):
@@ -219,14 +223,17 @@ def test_blowup_raises_with_the_records_before_it(params):
         evolve_monitor(st0, 1.0, EvolveControls(dt_base=1e-2, cadence=1))
 
 
-def test_strang_is_second_order(psi0, params):
-    st0 = EvolutionState(psi0, 0.0, "physical", params)
+@pytest.mark.parametrize("model, end", [("physical", 1.0), ("conformal", 0.5)])
+def test_strang_is_second_order(psi0, params, model, end):
+    """Also with the conformal model's time-dependent coefficients, whose
+    rotations merge over the span from one step's midpoint to the next."""
+    st0 = EvolutionState(psi0, 0.0, model, params)
 
     def final(dt):
-        traj = evolve(st0, 1.0, EvolveControls(dt_base=dt, cadence=10**6))
+        traj = evolve(st0, end, EvolveControls(dt_base=dt, c_adapt=np.inf, cadence=10**6))
         return traj.records[-1]
 
-    ref = evolve(st0, 1.0, EvolveControls(dt_base=1e-3, cadence=10**6)).records[-1]
+    ref = final(1e-3)
 
     def err(rec):
         return abs(rec.energy - ref.energy)
