@@ -8,7 +8,10 @@ Conformal model:  i d_tau phi + Lap phi =
 The free group is U(t) = e^{i t Lap}, Fourier symbol e^{-i |k|^2 t}; the
 nonlinear substep therefore rotates the phase by minus the integrated
 coefficients.  Both substeps preserve |values| pointwise or spectrally,
-so the mass is conserved to roundoff.
+so the mass is conserved to roundoff.  The rotation acts on the window
+of the flat index where its angle can exceed 2^-54 rad
+(backend.nonlinear_phase); elsewhere it cannot move a bit, so a
+localized field pays for its support only.
 
 A Strang step runs in nonlinear-linear-nonlinear order, and the loop
 carries physical values from step to step.  Two consecutive half
@@ -116,9 +119,10 @@ class StrangStepper:
 
     Its pieces act in place on physical values.  rotate is the nonlinear
     flow, a pointwise phase that leaves |v| unchanged, so it takes the
-    |v|^2 its caller holds; free is the linear flow, the free group of
-    conformal.free_propagate, at 2 transforms, with its multiplier built
-    once per dt.  A step of -dt from clock + dt undoes a step of dt from
+    |v|^2 its caller holds, and it rotates only the window of the flat
+    index outside which the angle is below 2^-54 rad, for any d; free
+    is the linear flow, the free group of conformal.free_propagate, at
+    2 transforms, with its multiplier built once per dt.  A step of -dt from clock + dt undoes a step of dt from
     clock: the linear phase and the integrated weights both change sign.
     """
 

@@ -18,6 +18,16 @@ def free_gaussian(t, x, width):
     return width * (w2 + 2j * t) ** (-0.5) * np.exp(-(x**2) / (2 * (w2 + 2j * t)))
 
 
+def full_rotation(values, a2, qm1, pm1, wq, wp):
+    """backend.nonlinear_phase over the whole array, with no window: the
+    reference its window must match."""
+    angle = wp * a2 ** (0.5 * pm1) - wq * a2 ** (0.5 * qm1)
+    factor = np.empty(values.shape, complex)
+    np.cos(angle, out=factor.real)
+    np.sin(angle, out=factor.imag)
+    values *= factor
+
+
 def _soliton_integrals(a, q, p, alpha, beta, gamma):
     """(mass^2, energy) of the 1D soliton with peak amplitude a, by
     quadrature on the first integral of the standing-wave ODE,

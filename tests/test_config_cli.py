@@ -1,15 +1,17 @@
 import csv
 import json
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from nls_lab import cli
+from nls_lab import backend, cli
 from nls_lab import ground_state as gs
 from nls_lab.config import _SCHEMA, ConfigError, parse_config
 from nls_lab.functionals import EnergyBreakdown, ModelParams, correction_energy_terms, modified_energy_terms
 from nls_lab.grid import field_from_bytes
+from oracles import full_rotation
 
 
 EVOLVE_CFG = """
@@ -165,6 +167,28 @@ def test_cli_scatter_run(tmp_path):
     assert doc["verdict"] == "scattering_consistent"
     lines = open(out + ".residuals.csv").read().splitlines()
     assert len(lines) == 6  # header + 5 probe rows
+
+
+def test_scatter_rotation_window_keeps_the_answers(tmp_path):
+    """scatter on a small box to tau = 0.999 gives the answers it gives
+    with the nonlinear rotation taken over the whole array: the window
+    leaves out only angles below 2^-54 rad."""
+    cfg = _write(tmp_path, SCATTER_CFG.replace("n = 256", "n = 512") + "tau_max = 0.999\nc_adapt = 0.01\n")
+    outs = []
+    for tag, kernel in (("window", backend.nonlinear_phase), ("full", full_rotation)):
+        out = str(tmp_path / tag)
+        with mock.patch.object(backend, "nonlinear_phase", kernel):
+            assert cli.main(["scatter", "--config", cfg, "--out", out]) == cli.EXIT_OK
+        doc = json.load(open(out + ".scatter.json"))
+        rows = list(csv.reader(open(out + ".residuals.csv")))[1:]
+        residuals = np.array([[float(r) for r in row[1:]] for row in rows])
+        psi_plus = field_from_bytes(open(out + ".psi-plus.field", "rb").read()).values
+        outs.append((doc, residuals, psi_plus))
+    (doc, residuals, psi_plus), (ref_doc, ref_residuals, ref_psi_plus) = outs
+    assert [doc[k] for k in ("verdict", "sound", "taus")] == [ref_doc[k] for k in ("verdict", "sound", "taus")]
+    assert doc["finest_residual"] == pytest.approx(ref_doc["finest_residual"], rel=1e-10, abs=0)
+    np.testing.assert_allclose(residuals, ref_residuals, rtol=1e-10, atol=0)
+    assert np.max(np.abs(psi_plus - ref_psi_plus)) <= 1e-12 * np.max(np.abs(ref_psi_plus))
 
 
 def test_cli_scatter_evolves_to_tau_max(tmp_path, monkeypatch):
