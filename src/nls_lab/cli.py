@@ -8,11 +8,20 @@ artifacts (fixed reduction orders, fixed float formatting).
 """
 
 import argparse
-import hashlib
 import json
 import os
+import random
 import sys
 import time
+
+# CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before): hashlib would map OpenSSL.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without the built-in SHA-2
+        from hashlib import sha256
 
 import numpy as np
 
@@ -58,7 +67,7 @@ class Emitter:
         payload = data.encode() if isinstance(data, str) else data
         with open(path, "wb") as f:
             f.write(payload)
-        self.checksums[os.path.basename(path)] = hashlib.sha256(payload).hexdigest()
+        self.checksums[os.path.basename(path)] = sha256(payload).hexdigest()
         return path
 
     def json(self, suffix, doc):
@@ -88,8 +97,9 @@ def _flow_options(cfg):
 
 
 def _rng(cfg):
+    """The seed-width jitter source (ground_state._seeds) of the config's seed."""
     seed = cfg.get("seed")
-    return None if seed is None else np.random.default_rng(seed)
+    return None if seed is None else random.Random(seed)
 
 
 def _threshold_json(params, coeffs, result):

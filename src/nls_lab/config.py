@@ -85,7 +85,7 @@ _SCHEMA = {
     "max_iters": (int, "flow iteration budget", _at_least(1)),
     "flow_dt": (float, "starting flow step", _POSITIVE),
     "residual_tol": (float, "flow residual tolerance", _POSITIVE),
-    "seed": (int, "RNG seed for seed-profile jitter", _at_least(0)),
+    "seed": (int, "random.Random seed of the seed-width jitter", _at_least(0)),
     "out_prefix": (str, "output path prefix", None),
     "sweep.q_count": (int, "sweep grid size in q", _at_least(2)),
     "sweep.p_count": (int, "sweep grid size in p", _at_least(2)),

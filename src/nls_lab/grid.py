@@ -12,6 +12,7 @@ __all__ = [
     "Field",
     "AnalyticProfile",
     "ResolutionWarning",
+    "eval_envelope",
     "eval_profile",
     "field_to_bytes",
     "field_from_bytes",
@@ -162,8 +163,29 @@ class AnalyticProfile:
             object.__setattr__(self, "center", (float(self.center),))
 
 
+def eval_envelope(grid, profile):
+    """The real envelope amplitude * envelope(r) of a closed-form profile
+    sampled on a grid, and r^2 there: eval_profile's samples without the
+    chirp factor and without its resolution check."""
+    center = profile.center
+    if len(center) == 1 and grid.d > 1:
+        center = center * grid.d
+    if len(center) != grid.d:
+        raise ValueError(f"center offset has {len(center)} components, grid is {grid.d}D")
+
+    r_sq = np.zeros(grid.shape)
+    for x, c in zip(grid.x_mesh, center):
+        r_sq = r_sq + (x - c) ** 2
+    if profile.kind == "gaussian":
+        env = profile.amplitude * np.exp(-r_sq / (2 * profile.width**2))
+    else:
+        env = profile.amplitude / np.cosh(np.sqrt(r_sq) / profile.width)
+    return env, r_sq
+
+
 def eval_profile(grid, profile):
-    """Sample a closed-form profile on a grid.
+    """Sample a closed-form profile on a grid: its envelope (eval_envelope)
+    times the chirp factor exp(i c r^2).
 
     Emits a ResolutionWarning when the width is under-resolved (w < 4h)
     or poorly contained (w > L/8); the field is still returned.
@@ -175,19 +197,7 @@ def eval_profile(grid, profile):
             ResolutionWarning,
             stacklevel=2,
         )
-    center = profile.center
-    if len(center) == 1 and grid.d > 1:
-        center = center * grid.d
-    if len(center) != grid.d:
-        raise ValueError(f"center offset has {len(center)} components, grid is {grid.d}D")
-
-    r_sq = np.zeros(grid.shape)
-    for x, c in zip(grid.x_mesh, center):
-        r_sq = r_sq + (x - c) ** 2
-    if profile.kind == "gaussian":
-        env = profile.amplitude * np.exp(-r_sq / (2 * w**2))
-    else:
-        env = profile.amplitude / np.cosh(np.sqrt(r_sq) / w)
+    env, r_sq = eval_envelope(grid, profile)
     vals = env.astype(np.complex128)
     if profile.chirp != 0.0:
         vals = vals * np.exp(1j * profile.chirp * r_sq)

@@ -8,14 +8,13 @@ The negativity oracle is a normalized gradient flow; rho_0 is bracketed
 by bisection on the oracle's verdict.
 """
 
-import warnings
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import backend, spectral
 from .functionals import CoeffTriple, energy_coeffs
-from .grid import AnalyticProfile, Field, Grid, eval_profile
+from .grid import AnalyticProfile, Field, Grid, eval_envelope
 
 __all__ = [
     "FlowOptions",
@@ -459,17 +458,20 @@ class _Flow:
         batch's grid at mass rho^2, as a flattened real array, and its
         powers (_powers), energy (_energy, from one rfftn), step and the
         scales of its stopping tests.  The flow keeps a real state real,
-        and steps real rows only: a seed whose samples are not real (a
-        chirp) raises ValueError."""
+        and steps real rows only: it samples the seed's real envelope
+        (eval_envelope) and scales it to mass rho^2 as spectral.normalize
+        would, and a seed whose samples are not real (a chirp) raises
+        ValueError."""
         params, grid, coeffs = self.params, self.grid, self.coeffs
         if rho <= 0:
             raise ValueError(f"mass-sphere radius must be positive, got {rho}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            field = spectral.normalize(eval_profile(grid, seed), rho)
-        if np.any(field.values.imag):
+        if seed.chirp != 0.0:
             raise ValueError(f"the flow needs a real seed; {seed.kind} seed has complex samples")
-        vals = field.values.real.reshape(1, -1)
+        env = eval_envelope(grid, seed)[0]
+        norm = np.sqrt(float((env * env).sum()) * grid.cell_volume)
+        if norm == 0:
+            raise ValueError("cannot normalize the zero field")
+        vals = (env * (rho / norm)).reshape(1, -1)
         tol_neg = eval(_TOL_NEG, {"rho": rho})
         width0 = float(_rms_width(vals * vals, grid)[0])
         # The box caps the rms width near L/sqrt(12), so the 4x growth target
@@ -566,10 +568,11 @@ class _Flow:
 
     def _finish(self, it, rows, j):
         """The MinimizeResult of row j of rows, stopped after it
-        iterations: _polish if asked, then the residual, classification and
-        soundness.  A row that stopped uncertified without the spreading
-        signature, also on the stall test before its budget ran out, is
-        'budget_exhausted'."""
+        iterations: _polish if asked, which reports its state's residual,
+        else the residual of a certified row, from one real FFT pair; then
+        the classification and soundness.  A row that stopped uncertified
+        without the spreading signature, also on the stall test before its
+        budget ran out, is 'budget_exhausted'."""
         grid, opts = self.grid, self.opts
         rho = float(rows.rho[j])
         vals = rows.vals[j]
@@ -579,12 +582,12 @@ class _Flow:
         tol_neg = float(rows.tol_neg[j])
         polished = certified and opts.polish
         if polished:
-            vals, energy, polish_iters, stopped = self._polish(rho, vals, opts.max_iters - it)
+            vals, energy, residual, polish_iters, stopped = self._polish(rho, vals, opts.max_iters - it)
             it += polish_iters
-        final = Field(grid, vals.reshape(grid.shape))
-        if certified or not np.isfinite(residual):
+        elif certified or not np.isfinite(residual):
             v = vals[None]
             residual = float(self._residual(v, _rfft(v, grid), *_powers(v, self.params))[0])
+        final = Field(grid, vals.reshape(grid.shape))
         width = float(_rms_width((vals * vals)[None], grid)[0])
         width0 = rows.width0[j]
         width_ratio = float(width / width0) if width0 > 0 else np.inf
@@ -645,8 +648,10 @@ class _Flow:
         d_hat) times the renormalization factor, so a trial takes no
         transform, and an iteration makes one rfftn (of the gradient) and
         two irfftn (the gradient and the direction).  Returns (values,
-        energy, iterations, stopped), stopped being False when the budget
-        ran out first.
+        energy, residual, iterations, stopped): residual is the stopping
+        test's ||E'(u) - mu u||_2 of the returned state, or, when the
+        budget ran out first (stopped False), _residual of its carried
+        half-spectrum and powers.
         """
         params, grid, coeffs, k_sq = self.params, self.grid, self.coeffs, self.k_sq
         vol = grid.cell_volume
@@ -675,8 +680,9 @@ class _Flow:
             grad = self._energy_gradient(u, u_hat, pq, pp)
             mu = float((grad * u).sum()) * vol / rho**2
             r = grad - mu * u
-            if np.sqrt((r * r).sum() * vol) <= self.opts.residual_tol * abs(mu) * rho:
-                return u[0], energy, it, True
+            residual = float(np.sqrt((r * r).sum() * vol))
+            if residual <= self.opts.residual_tol * abs(mu) * rho:
+                return u[0], energy, residual, it, True
             # Precondition and project in Fourier space (Parseval).
             g_hat = _rfft(grad, grid)
             inv_p = 1.0 / (abs(mu) + 2.0 * coeffs.alpha * k_sq)
@@ -688,7 +694,7 @@ class _Flow:
 
             while True:
                 if tau * slope <= floor:
-                    return u[0], energy, it, True
+                    return u[0], energy, residual, it, True
                 e_trial, trial = step(tau)
                 # Minimizer of the quadratic through E(0), E'(0) and E(tau).
                 curv = e_trial - energy + tau * slope
@@ -701,7 +707,7 @@ class _Flow:
                     break
                 tau *= 0.5
             energy, state = e_trial, trial
-        return state[0][0], energy, budget, False
+        return state[0][0], energy, float(self._residual(*state[:4])[0]), budget, False
 
 
 def _kick_scale(params, coeffs, amp):
@@ -783,7 +789,9 @@ def _verdict(rho, results):
 
 def _seeds(rng):
     """The seeds of one probe: a Gaussian of each width in SEED_WIDTHS,
-    jittered by rng in seed order if given."""
+    if rng is given times rng.uniform(0.95, 1.05), drawn in seed order.
+    rng is any object with that method, such as random.Random (the
+    CLI's) or a numpy Generator."""
     widths = SEED_WIDTHS if rng is None else [w * float(rng.uniform(0.95, 1.05)) for w in SEED_WIDTHS]
     return [AnalyticProfile(kind="gaussian", amplitude=1.0, width=w) for w in widths]
 
@@ -982,7 +990,9 @@ def threshold_mass(params, coeffs, bracket_tol=0.02, opts=None, rng=None):
     the bisection: it is recorded per probe in the result (the CLI's
     .threshold.json) and in the manifest's sound flag.  The bisection
     runs its probes as rows of one flow, planned up to SPECULATIVE_PROBES
-    ahead (_bisect).
+    ahead (_bisect).  rng, if given, jitters each probe's seed widths
+    (_seeds): any object with a uniform(a, b) method, such as
+    random.Random or a numpy Generator.
     """
     f = _law_factor(params, coeffs)
     th = _bisect(params, bracket_tol, opts, rng)

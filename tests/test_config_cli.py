@@ -1,6 +1,12 @@
 import csv
+import importlib.util
 import json
 import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +14,7 @@ import pytest
 
 from nls_lab import backend, cli
 from nls_lab import ground_state as gs
-from nls_lab.config import _SCHEMA, ConfigError, parse_config
+from nls_lab.config import _SCHEMA, SUBCOMMANDS, ConfigError, parse_config
 from nls_lab.functionals import EnergyBreakdown, ModelParams, correction_energy_terms, modified_energy_terms
 from nls_lab.grid import field_from_bytes
 from oracles import full_rotation
@@ -472,6 +478,68 @@ def test_cli_rejects_a_key_the_subcommand_does_not_read(tmp_path, capsys, subcom
     err = capsys.readouterr().err
     assert f"{name}: not read by" in err or f"{name}: unknown key" in err
     assert not (tmp_path / "o.manifest.json").exists()
+
+
+def test_seeded_threshold_runs_are_byte_identical(tmp_path):
+    """Two threshold runs with the same seed write byte-identical
+    .threshold.json, whose probes flowed the seed jitter that
+    random.Random(seed) draws."""
+    params = ModelParams(d=1, q=4.0, p=4.5)
+    cfg = _write(tmp_path, THRESHOLD_CFG + "bracket_tol = 0.1\nseed = 4\n")
+    docs = []
+    for tag in ("a", "b"):
+        out = str(tmp_path / tag)
+        assert cli.main(["threshold", "--config", cfg, "--out", out]) == cli.EXIT_OK
+        docs.append(open(out + ".threshold.json", "rb").read())
+    assert docs[0] == docs[1]
+    energy = gs.threshold_mass(params, gs.triple_energy(params), bracket_tol=0.1, rng=random.Random(4))
+    assert [pr["energies"] for pr in json.loads(docs[0])["probes"]] == [
+        [r.energy for r in pr.results] for pr in energy.probes
+    ]
+
+
+# A small run of every subcommand; threshold's is seeded.
+FOOTPRINT = {
+    "threshold": THRESHOLD_CFG + "bracket_tol = 0.2\nseed = 1\n",
+    "named-thresholds": NAMED_CFG + "bracket_tol = 0.1\nA_grid = 1.0\neps_grid = 0.4\n",
+    "groundstate": NAMED_CFG + "rho = 0.5\nmax_iters = 50\n",
+    "evolve": EVOLVE_CFG,
+    "scatter": SCATTER_CFG,
+    "verify": "n = 256\n",
+    "sweep": SWEEP_CFG,
+}
+# Runs cli.main on its arguments and prints [exit code, the watched modules it loaded].
+_RUN_CLI = (
+    "import json, sys\n"
+    "from nls_lab import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, [m for m in ('_hashlib', 'numpy.random') if m in sys.modules]]))\n"
+)
+BUILTIN_SHA2 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_a_run_maps_neither_openssl_nor_numpy_random(tmp_path, subcommand):
+    """A subcommand's run in a fresh interpreter loads neither OpenSSL's
+    hash module (_hashlib) nor numpy.random: the manifest hashes with
+    CPython's built-in SHA-256 and the seed jitter comes from
+    random.Random.  Without a built-in SHA-2 the manifest falls back to
+    hashlib, so only numpy.random is checked.  Every manifest digest is
+    hashlib's sha256 of the artifact's bytes."""
+    out = str(tmp_path / "o")
+    argv = [subcommand, "--config", _write(tmp_path, FOOTPRINT[subcommand]), "--out", out]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], capture_output=True, text=True, env=env)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == cli.EXIT_OK, proc.stderr
+    if not BUILTIN_SHA2:
+        loaded.remove("_hashlib")
+    assert loaded == []
+    checksums = json.load(open(out + ".manifest.json"))["checksums"]
+    assert checksums
+    for name, digest in checksums.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def _evolve_csv(tmp_path, text):

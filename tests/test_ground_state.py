@@ -1,3 +1,4 @@
+import random
 import warnings
 from unittest import mock
 
@@ -325,15 +326,16 @@ def test_flow_fft_budget(params, monkeypatch):
 def test_polished_run_makes_one_complex_fft(params, monkeypatch):
     """A polished minimization takes every energy from half-spectra: its
     one complex FFT is _finish's spectral-tail check of the result.  A
-    polish trial takes no transform, and a polish iteration one rfftn and
-    two irfftn, so the real transforms stay at this run's 65 and 123
-    (its flow and polish together run 61 iterations)."""
+    polish trial takes no transform, a polish iteration one rfftn and
+    two irfftn, and the result's residual is the polish's own, so the real
+    transforms stay at this run's 64 and 122 (its flow and polish together
+    run 61 iterations)."""
     counts = _count_transforms(monkeypatch)
     opts = gs.FlowOptions(max_iters=6000, polish=True, residual_tol=1e-10)
     res = gs.minimize_on_sphere(params, gs.triple_energy(params), 2.6, opts)
     assert res.classification == "converged_negative" and res.sound
     assert res.iterations == 61
-    assert counts == {"rfftn": 65, "irfftn": 123, "fftn": 1, "ifftn": 0}
+    assert counts == {"rfftn": 64, "irfftn": 122, "fftn": 1, "ifftn": 0}
 
 
 def test_tol_neg_rule_is_the_flows_tolerance(params):
@@ -585,6 +587,24 @@ def _assert_path_masses(th, bracket_tol):
     asked = [gs._bisection(bracket_tol, verdicts[:k]) for k in range(len(verdicts))]
     assert [p.rho for p in th.probes] == asked
     assert gs._bisection(bracket_tol, verdicts) == (th.rho_lo, th.rho_hi)
+
+
+@pytest.mark.parametrize("make_rng", [random.Random, np.random.default_rng], ids=["random.Random", "numpy"])
+def test_threshold_mass_takes_any_source_of_uniform_draws(params, make_rng):
+    """rng is any object with uniform(a, b), such as the stdlib's
+    random.Random, which the CLI passes, or a numpy Generator: the path
+    probes sit where the bisection asks, and probe k flows the k-th
+    _seeds draw, each width within 5% of its SEED_WIDTHS entry."""
+    coeffs = gs.triple_energy(params)
+    th = gs.threshold_mass(params, coeffs, bracket_tol=0.1, rng=make_rng(7))
+    _assert_path_masses(th, 0.1)
+    rng = make_rng(7)
+    draws = [gs._seeds(rng) for _ in th.probes]
+    for seeds in draws:
+        assert all(0.95 * w <= s.width <= 1.05 * w for s, w in zip(seeds, gs.SEED_WIDTHS, strict=True))
+    first = th.probes[0]
+    alone = gs._flow_rows(params, gs.default_grid(1), coeffs, [first.rho] * 3, draws[0], gs.FlowOptions())
+    assert [_row_key(r) for r in alone] == [_row_key(r) for r in first.results]
 
 
 def test_path_probes_sit_where_the_bisection_asks(params, sparams, named):
